@@ -54,11 +54,9 @@ from .ica import (
     align_columns,
     estimate_cumulant_pair,
     recover_from_cumulants,
-    underdetermined_ica,
 )
 from .lowdim_hardness import (
     DegeneratePairError,
-    IcaDescriptor,
     KernelConditioningError,
     MixturePair,
     PointSet,
@@ -77,7 +75,7 @@ from .lowdim_hardness import (
     target_f,
 )
 from .poissonization import (
-    LiftedIcaModel,
+    IcaModel,
     MixtureSource,
     ReductionParams,
     SubroutineFailure,
@@ -85,9 +83,7 @@ from .poissonization import (
     compute_reduction_params,
     lift,
     poisson_split,
-    sample_approx_ica,
     sample_approx_ica_batch,
-    sample_basic_ica,
     tv_gap,
 )
 from .smoothed_analysis import (

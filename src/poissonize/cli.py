@@ -10,6 +10,7 @@ the summary.  Exit status: 0 success, 1 usage error, 2 model failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -30,7 +31,12 @@ from .distributions import (
     truncated_poisson_tv,
 )
 from .gmm_learner import FeasibilityError, MeanBounds, derive_bounds, learn_means
-from .ica import IllConditionedError, align_columns, recover_from_cumulants
+from .ica import (
+    DegenerateModelError,
+    IllConditionedError,
+    align_columns,
+    recover_from_cumulants,
+)
 from .lowdim_hardness import (
     PointSet,
     build_close_pair,
@@ -82,6 +88,16 @@ def _require(condition, message):
         raise UsageError(message)
 
 
+@contextlib.contextmanager
+def _config_values():
+    """Report a config value that fails to convert or validate while a
+    command resolves its config, before any trial, as a usage error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config value: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------
@@ -130,15 +146,19 @@ def _cmd_learn(config, out_dir):
     _check_keys(config, allowed)
     _require(not ("gmm" in config and "generator" in config),
              "give either gmm or generator, not both")
-    seed = int(config.get("seed", 0))
-    trials = int(config.get("trials", 1))
-    d = int(config.get("d", 4))
-    delta = float(config.get("delta", 0.1))
-    eps = float(config.get("eps", 0.25))
-    samples = int(config.get("samples", 1_000_000))
-    with_weights = bool(config.get("with_weights", True))
-    chunk = int(config.get("chunk", 1 << 17))
     tau_setting = config.get("tau", "certified")
+    with _config_values():
+        seed = int(config.get("seed", 0))
+        trials = int(config.get("trials", 1))
+        d = int(config.get("d", 4))
+        delta = float(config.get("delta", 0.1))
+        eps = float(config.get("eps", 0.25))
+        samples = int(config.get("samples", 1_000_000))
+        with_weights = bool(config.get("with_weights", True))
+        chunk = int(config.get("chunk", 1 << 17))
+        fixed_tau = (
+            None if tau_setting in ("certified", "schedule") else float(tau_setting)
+        )
 
     generator = dict(_GENERATOR_DEFAULTS)
     if "generator" in config:
@@ -148,7 +168,8 @@ def _cmd_learn(config, out_dir):
     fixed_gmm = None
     if "gmm" in config:
         _check_keys(config["gmm"], {"means", "weights", "covariance"}, where="gmm")
-        fixed_gmm = _gmm_from_config(config["gmm"])
+        with _config_values():
+            fixed_gmm = _gmm_from_config(config["gmm"])
 
     resolved = {
         "d": d, "delta": delta, "eps": eps, "samples": samples,
@@ -158,9 +179,12 @@ def _cmd_learn(config, out_dir):
     resolved["gmm" if fixed_gmm is not None else "generator"] = (
         config.get("gmm") if fixed_gmm is not None else generator
     )
+    fixed_bounds = None
     if "bounds" in config:
         _check_keys(config["bounds"], {"w", "u", "r", "b"}, where="bounds")
         resolved["bounds"] = config["bounds"]
+        with _config_values():
+            fixed_bounds = MeanBounds(**config["bounds"])
 
     root = SeededRng(seed)
     records = []
@@ -182,17 +206,12 @@ def _cmd_learn(config, out_dir):
                 np.full(m, 1.0 / m),
                 generator["noise"] * np.eye(generator["n"]),
             )
-        bounds = (
-            MeanBounds(**config["bounds"]) if "bounds" in config
-            else derive_bounds(gmm, d)
-        )
+        bounds = fixed_bounds if fixed_bounds is not None else derive_bounds(gmm, d)
         if tau_setting == "certified":
             tau = certified_tail_threshold(0.5 * delta / samples, float(gmm.m))
-        elif tau_setting == "schedule":
-            tau = None
         else:
-            tau = float(tau_setting)
-        started = time.time()
+            tau = fixed_tau
+        started = time.perf_counter()
         row = {
             "trial": trial, "seed": rng.seed, "failed": False, "reason": "",
             "aligned_error": None, "weight_max_error": None, "weight_sum": None,
@@ -219,11 +238,11 @@ def _cmd_learn(config, out_dir):
             )
             if report.failed:
                 status = 2
-        except (FeasibilityError, IllConditionedError) as exc:
+        except (FeasibilityError, IllConditionedError, DegenerateModelError) as exc:
             row.update(failed=True, reason=f"{type(exc).__name__}: {exc}")
             errors.append(row["reason"])
             status = 2
-        timings.append(time.time() - started)
+        timings.append(time.perf_counter() - started)
         records.append(TrialRecord(row))
 
     aligned = [r.values["aligned_error"] for r in records
@@ -252,13 +271,14 @@ _SMOOTHED_COLUMNS = [
 def _cmd_smoothed(config, out_dir):
     allowed = {"families", "n", "sigma", "trials", "seed", "out"}
     _check_keys(config, allowed)
-    families = list(config.get("families", FAMILIES))
-    unknown = sorted(set(families) - set(FAMILIES))
-    _require(not unknown, f"unknown families: {', '.join(unknown)}")
-    n = int(config.get("n", 10))
-    sigma = float(config.get("sigma", 0.1))
-    trials = int(config.get("trials", 50))
-    seed = int(config.get("seed", 0))
+    with _config_values():
+        families = list(config.get("families", FAMILIES))
+        unknown = sorted(set(families) - set(FAMILIES))
+        _require(not unknown, f"unknown families: {', '.join(unknown)}")
+        n = int(config.get("n", 10))
+        sigma = float(config.get("sigma", 0.1))
+        trials = int(config.get("trials", 50))
+        seed = int(config.get("seed", 0))
     resolved = {
         "families": families, "n": n, "sigma": sigma,
         "trials": trials, "seed": seed,
@@ -291,12 +311,14 @@ def _cmd_hardness(config, out_dir):
     }
     _check_keys(config, allowed)
     mode = config.get("mode", "decay")
-    seed = int(config.get("seed", 0))
-    l1_samples = int(config.get("l1_samples", 200_000))
+    with _config_values():
+        seed = int(config.get("seed", 0))
+        l1_samples = int(config.get("l1_samples", 200_000))
     root = SeededRng(seed)
     status = 0
     if mode == "decay":
-        h_values = [float(h) for h in config.get("h_values", [0.1, 0.05, 0.025])]
+        with _config_values():
+            h_values = [float(h) for h in config.get("h_values", [0.1, 0.05, 0.025])]
         resolved = {"mode": mode, "h_values": h_values, "seed": seed}
         records = []
         for index, h in enumerate(h_values):
@@ -317,9 +339,10 @@ def _cmd_hardness(config, out_dir):
             _write_pair(out_dir, f"pair_decay_{index}.json", pair)
         extra = {"pairs_written": len(records)}
     elif mode == "pigeonhole":
-        k = int(config.get("k", 5))
-        dimension = int(config.get("dimension", 1))
-        instances = int(config.get("instances", config.get("trials", 10)))
+        with _config_values():
+            k = int(config.get("k", 5))
+            dimension = int(config.get("dimension", 1))
+            instances = int(config.get("instances", config.get("trials", 10)))
         resolved = {
             "mode": mode, "k": k, "dimension": dimension,
             "instances": instances, "l1_samples": l1_samples, "seed": seed,
@@ -386,14 +409,15 @@ def _cmd_ica_bench(config, out_dir):
         "seed", "out",
     }
     _check_keys(config, allowed)
-    n = int(config.get("n", 4))
-    m = int(config.get("m", 6))
-    d = int(config.get("d", 4))
-    trials = int(config.get("trials", 20))
-    floor = float(config.get("sigma_floor", 1e-3))
-    cum_low = float(config.get("cum_low", 1.0))
-    cum_high = float(config.get("cum_high", 2.0))
-    seed = int(config.get("seed", 0))
+    with _config_values():
+        n = int(config.get("n", 4))
+        m = int(config.get("m", 6))
+        d = int(config.get("d", 4))
+        trials = int(config.get("trials", 20))
+        floor = float(config.get("sigma_floor", 1e-3))
+        cum_low = float(config.get("cum_low", 1.0))
+        cum_high = float(config.get("cum_high", 2.0))
+        seed = int(config.get("seed", 0))
     resolved = {
         "n": n, "m": m, "d": d, "trials": trials, "sigma_floor": floor,
         "cum_low": cum_low, "cum_high": cum_high, "seed": seed,
@@ -446,15 +470,16 @@ def _cmd_reduction_check(config, out_dir):
         "grid_lams", "grid_taus", "seed", "trials", "out",
     }
     _check_keys(config, allowed)
-    lam = float(config.get("lam", 5.0))
-    probs = [float(p) for p in config.get("probs", [0.2, 0.3, 0.5])]
-    samples = int(config.get("samples", 100_000))
-    delta = float(config.get("delta", 1e-6))
-    marginal_tol = float(config.get("marginal_tol", 0.02))
-    corr_tol = float(config.get("corr_tol", 0.02))
-    grid_lams = [float(v) for v in config.get("grid_lams", range(1, 9))]
-    grid_taus = [int(v) for v in config.get("grid_taus", range(0, 21))]
-    seed = int(config.get("seed", 0))
+    with _config_values():
+        lam = float(config.get("lam", 5.0))
+        probs = [float(p) for p in config.get("probs", [0.2, 0.3, 0.5])]
+        samples = int(config.get("samples", 100_000))
+        delta = float(config.get("delta", 1e-6))
+        marginal_tol = float(config.get("marginal_tol", 0.02))
+        corr_tol = float(config.get("corr_tol", 0.02))
+        grid_lams = [float(v) for v in config.get("grid_lams", range(1, 9))]
+        grid_taus = [int(v) for v in config.get("grid_taus", range(0, 21))]
+        seed = int(config.get("seed", 0))
     resolved = {
         "lam": lam, "probs": probs, "samples": samples, "delta": delta,
         "marginal_tol": marginal_tol, "corr_tol": corr_tol,
@@ -545,7 +570,7 @@ def main(argv=None):
             config["trials"] = args.trials
         out_dir = args.out or config.get("out") or "."
         os.makedirs(out_dir, exist_ok=True)
-        started = time.time()
+        started = time.perf_counter()
         records, columns, resolved, extra, status = _COMMANDS[args.command](
             config, out_dir
         )
@@ -556,7 +581,7 @@ def main(argv=None):
             "version": __version__,
             "seed": resolved.get("seed"),
             "config": resolved,
-            "wall_seconds": time.time() - started,
+            "wall_seconds": time.perf_counter() - started,
             "exit_status": status,
         }
         summary.update(extra)

@@ -14,11 +14,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cumulants import analytic_ica_cumulant, assemble_flat_cumulant
 from .distributions import GmmParams
-from .ica import IllConditionedError, estimate_cumulant_pair, recover_from_cumulants
+from .ica import (
+    IllConditionedError,
+    _match_columns,
+    estimate_cumulant_pair,
+    recover_from_cumulants,
+)
 from .poissonization import (
     MixtureSource,
     SubroutineFailure,
@@ -42,6 +46,7 @@ __all__ = [
 ]
 
 _WEIGHT_CLIP_TOL = 1e-8
+_WEIGHT_ORDER = 3  # cumulant order the weights are read from
 
 
 class FeasibilityError(RuntimeError):
@@ -159,11 +164,6 @@ def recover_weights(mixing, lam, flat_cum):
     return (pseudo_inverse(kr) @ flat_cum.data) / lam
 
 
-def _clip_weights(raw):
-    clipped = bool(np.any(raw < -_WEIGHT_CLIP_TOL))
-    return np.clip(raw, 0.0, None), clipped
-
-
 def _unlift(columns):
     """Divide out the homogenizing coordinate; the division cancels the
     per-column sign ambiguity of the ICA estimate."""
@@ -173,6 +173,61 @@ def _unlift(columns):
             "a recovered column has (numerically) zero lift coordinate"
         )
     return columns[:-1, :] / last
+
+
+def _schedule(covariance, m, d, delta, eps, bounds, tau):
+    """Reduction schedule for a mixture with the given noise covariance."""
+    sigma = math.sqrt(max(float(np.linalg.eigvalsh(covariance).max()), 0.0))
+    return compute_reduction_params(
+        covariance.shape[0],
+        m,
+        d,
+        delta,
+        eps,
+        bounds.w,
+        bounds.u,
+        bounds.r,
+        bounds.b,
+        sigma,
+        tau_override=tau,
+    )
+
+
+def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, samples_used, diagnostics):
+    """The pipeline's tail, shared by the streamed and the analytic cumulants.
+
+    Diagonalizes (m0, k_next), unlifts the columns into means, recovers and
+    clips the weights when ``flat_weights`` (the order-3 cumulant of the
+    unlifted coordinates) is given, and scores the result against ``truth``
+    when one is given.
+    """
+    estimate = recover_from_cumulants(m0, k_next, m, d, rng)
+    diagnostics["eigengap"] = estimate.eigengap
+    means = _unlift(estimate.columns)
+
+    weights = None
+    if flat_weights is not None:
+        raw = recover_weights(means, params.lam, flat_weights)
+        diagnostics["weights_clipped"] = bool(np.any(raw < -_WEIGHT_CLIP_TOL))
+        weights = np.clip(raw, 0.0, None)
+        diagnostics["weight_sum"] = float(weights.sum())
+
+    report = LearnReport(
+        estimated_means=means,
+        estimated_weights=weights,
+        aligned_error=None,
+        params=params,
+        samples_used=samples_used,
+        failed=False,
+        diagnostics=diagnostics,
+    )
+    if truth is not None:
+        metrics = evaluate_recovery(report, truth)
+        report.aligned_error = metrics["mean_error"]
+        diagnostics["max_error"] = metrics["max_error"]
+        if "weight_max_error" in metrics:
+            diagnostics["weight_max_error"] = metrics["weight_max_error"]
+    return report
 
 
 def learn_means(
@@ -187,7 +242,6 @@ def learn_means(
     tau=None,
     with_weights=True,
     truth=None,
-    weight_order=3,
     chunk=1 << 17,
 ):
     """Learn mixture means (and optionally weights) from Poissonized samples.
@@ -209,28 +263,12 @@ def learn_means(
     truth : optional GmmParams for diagnostics and aligned errors.
     """
     if isinstance(source, GmmParams):
-        covariance = source.covariance
         if truth is None:
             truth = source
-    elif isinstance(source, MixtureSource):
-        covariance = source.covariance
-    else:
+    elif not isinstance(source, MixtureSource):
         raise TypeError("source must be GmmParams or MixtureSource")
-    n = covariance.shape[0]
-    sigma = math.sqrt(max(float(np.linalg.eigvalsh(covariance).max()), 0.0))
-    params = compute_reduction_params(
-        n,
-        m,
-        d,
-        delta,
-        eps,
-        bounds.w,
-        bounds.u,
-        bounds.r,
-        bounds.b,
-        sigma,
-        tau_override=tau,
-    )
+    n = source.covariance.shape[0]
+    params = _schedule(source.covariance, m, d, delta, eps, bounds, tau)
     gap = tv_gap(params.lam, params.tau, samples)
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
     if truth is not None:
@@ -259,34 +297,14 @@ def learn_means(
             diagnostics=diagnostics,
         )
 
-    estimate = recover_from_cumulants(m0, k_next, m, d, rng)
-    diagnostics["eigengap"] = estimate.eigengap
-    means = _unlift(estimate.columns)
-
-    weights = None
-    if with_weights:
-        flat3 = assemble_flat_cumulant(acc, weight_order, coordinates=range(n))
-        raw = recover_weights(means, params.lam, flat3)
-        weights, clipped = _clip_weights(raw)
-        diagnostics["weights_clipped"] = clipped
-        diagnostics["weight_sum"] = float(weights.sum())
-
-    report = LearnReport(
-        estimated_means=means,
-        estimated_weights=weights,
-        aligned_error=None,
-        params=params,
-        samples_used=int(samples),
-        failed=False,
-        diagnostics=diagnostics,
+    flat_weights = (
+        assemble_flat_cumulant(acc, _WEIGHT_ORDER, coordinates=range(n))
+        if with_weights
+        else None
     )
-    if truth is not None:
-        metrics = evaluate_recovery(report, truth)
-        report.aligned_error = metrics["mean_error"]
-        diagnostics["max_error"] = metrics["max_error"]
-        if "weight_max_error" in metrics:
-            diagnostics["weight_max_error"] = metrics["weight_max_error"]
-    return report
+    return _recover(
+        m0, k_next, flat_weights, m, d, rng, params, truth, int(samples), diagnostics
+    )
 
 
 def learn_means_oracle(gmm, d, rng, delta=0.1, eps=0.1, bounds=None, tau=None, with_weights=True):
@@ -297,48 +315,20 @@ def learn_means_oracle(gmm, d, rng, delta=0.1, eps=0.1, bounds=None, tau=None, w
     """
     if bounds is None:
         bounds = derive_bounds(gmm, d)
-    sigma = math.sqrt(max(float(np.linalg.eigvalsh(gmm.covariance).max()), 0.0))
-    params = compute_reduction_params(
-        gmm.n,
-        gmm.m,
-        d,
-        delta,
-        eps,
-        bounds.w,
-        bounds.u,
-        bounds.r,
-        bounds.b,
-        sigma,
-        tau_override=tau,
-    )
+    params = _schedule(gmm.covariance, gmm.m, d, delta, eps, bounds, tau)
     model = build_lifted_model(gmm, params.lam, params.tau)
     cum_d = model.scales**d * model.rates
     cum_next = model.scales ** (d + 1) * model.rates
     m0 = analytic_ica_cumulant(model.mixing, cum_d, d).as_matrix()
     k_next = analytic_ica_cumulant(model.mixing, cum_next, d + 1).data
-    estimate = recover_from_cumulants(m0, k_next, gmm.m, d, rng)
-    means = _unlift(estimate.columns)
-    weights = None
-    diagnostics = {"oracle": True, "eigengap": estimate.eigengap}
-    if with_weights:
-        flat3 = analytic_ica_cumulant(gmm.means, gmm.weights * params.lam, 3)
-        weights, clipped = _clip_weights(recover_weights(means, params.lam, flat3))
-        diagnostics["weights_clipped"] = clipped
-    report = LearnReport(
-        estimated_means=means,
-        estimated_weights=weights,
-        aligned_error=None,
-        params=params,
-        samples_used=0,
-        failed=False,
-        diagnostics=diagnostics,
+    flat_weights = (
+        analytic_ica_cumulant(gmm.means, gmm.weights * params.lam, _WEIGHT_ORDER)
+        if with_weights
+        else None
     )
-    metrics = evaluate_recovery(report, gmm)
-    report.aligned_error = metrics["mean_error"]
-    diagnostics["max_error"] = metrics["max_error"]
-    if "weight_max_error" in metrics:
-        diagnostics["weight_max_error"] = metrics["weight_max_error"]
-    return report
+    return _recover(
+        m0, k_next, flat_weights, gmm.m, d, rng, params, gmm, 0, {"oracle": True}
+    )
 
 
 def evaluate_recovery(report, truth):
@@ -355,11 +345,7 @@ def evaluate_recovery(report, truth):
     if est.shape != tru.shape:
         raise ValueError("shape mismatch between estimate and truth")
     cost = np.linalg.norm(est[:, :, None] - tru[:, None, :], axis=0)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(truth.m, dtype=int)
-    for i, j in zip(rows, cols):
-        perm[j] = i
-    errors = cost[perm, np.arange(truth.m)]
+    perm, errors = _match_columns(cost)
     metrics = {
         "max_error": float(errors.max()),
         "mean_error": float(errors.mean()),

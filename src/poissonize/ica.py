@@ -27,7 +27,6 @@ __all__ = [
     "IllConditionedError",
     "estimate_cumulant_pair",
     "recover_from_cumulants",
-    "underdetermined_ica",
     "align_columns",
 ]
 
@@ -191,14 +190,16 @@ def recover_from_cumulants(m0, k_next, m, d, rng):
     return IcaEstimate(columns=columns, eigengap=gap, order_used=d)
 
 
-def underdetermined_ica(sample_source, m, d, total, rng, chunk=1 << 17):
-    """Estimate unit mixing columns from streamed observations.
+def _match_columns(cost):
+    """Minimum-cost assignment on a (estimate, truth) column cost matrix.
 
-    sample_source : callable(count) -> (count, n) fresh samples.
-    m : number of sources; d : cumulant order (4 or 6); total : sample budget.
+    Returns (perm, errors): entry j of perm is the estimate column matched
+    to truth column j, and errors[j] is the cost of that match.
     """
-    m0, k_next, _ = estimate_cumulant_pair(sample_source, d, total, chunk=chunk)
-    return recover_from_cumulants(m0, k_next, m, d, rng)
+    rows, cols = linear_sum_assignment(cost)
+    perm = np.empty(cost.shape[1], dtype=int)
+    perm[cols] = rows
+    return perm, cost[perm, np.arange(cost.shape[1])]
 
 
 def align_columns(estimate, truth):
@@ -220,13 +221,7 @@ def align_columns(estimate, truth):
     d_minus = np.linalg.norm(diff, axis=0)
     d_plus = np.linalg.norm(summ, axis=0)
     cost = np.minimum(d_minus, d_plus)
-    rows, cols = linear_sum_assignment(cost)
-    m = est.shape[1]
-    perm = np.empty(m, dtype=int)
-    signs = np.empty(m, dtype=int)
-    errors = np.empty(m)
-    for i, j in zip(rows, cols):
-        perm[j] = i
-        signs[j] = 1 if d_minus[i, j] <= d_plus[i, j] else -1
-        errors[j] = cost[i, j]
+    perm, errors = _match_columns(cost)
+    columns = np.arange(cost.shape[1])
+    signs = np.where(d_minus[perm, columns] <= d_plus[perm, columns], 1, -1)
     return perm, signs, float(errors.max())

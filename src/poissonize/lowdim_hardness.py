@@ -30,12 +30,12 @@ from .distributions import (
     poisson_tail_threshold,
     sample_gmm,
 )
+from .poissonization import IcaModel
 
 __all__ = [
     "PointSet",
     "SignedMixture",
     "MixturePair",
-    "IcaDescriptor",
     "DegeneratePairError",
     "KernelConditioningError",
     "kernel",
@@ -440,60 +440,15 @@ def _combine_pairs(first, second, rng, l1_samples):
     )
 
 
-@dataclass
-class IcaDescriptor:
-    """Noisy ICA model induced by Poissonizing one mixture.
-
-    Observables are X = mixing diag(scales) S + eta(tau) with S_i Poisson
-    of the given rates; to_gmm() reconstructs the mixture whose basic
-    Poissonization realizes exactly this model.
-    """
-
-    mixing: np.ndarray
-    rates: np.ndarray
-    scales: np.ndarray
-    noise_covariance: np.ndarray
-    tau: int
-    lam: float
-
-    def __post_init__(self):
-        self.mixing = np.asarray(self.mixing, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.scales = np.asarray(self.scales, dtype=float)
-        self.noise_covariance = np.asarray(self.noise_covariance, dtype=float)
-        norms = np.linalg.norm(self.mixing, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("mixing columns must be unit vectors")
-        if np.any(self.rates <= 0) or np.any(self.scales <= 0):
-            raise ValueError("rates and scales must be positive")
-        if abs(self.rates.sum() - self.lam) > 1e-9 * max(self.lam, 1.0):
-            raise ValueError("rates must sum to lambda")
-
-    def to_gmm(self):
-        return GmmParams(
-            self.mixing * self.scales, self.rates / self.lam, self.noise_covariance
-        )
-
-    def to_dict(self):
-        return {
-            "mixing": self.mixing.tolist(),
-            "rates": self.rates.tolist(),
-            "scales": self.scales.tolist(),
-            "noise_covariance": self.noise_covariance.tolist(),
-            "tau": int(self.tau),
-            "lam": float(self.lam),
-        }
-
-
 def embed_as_ica(pair, tau_policy="certified", delta=1e-9):
-    """Noisy ICA descriptors for both mixtures of a pair.
+    """Noisy ICA models of both mixtures of a pair.
 
     lambda is set to the component count, so the source rates are w_i lambda
     and sum back to lambda.  tau comes from the tail threshold at the given
     delta; "certified" walks the threshold up until the actual tail is below
     delta, "lemma" takes the closed-form threshold as is.
     """
-    descriptors = []
+    models = []
     for gmm in (pair.p, pair.q):
         lam = float(gmm.m)
         if tau_policy == "certified":
@@ -505,8 +460,8 @@ def embed_as_ica(pair, tau_policy="certified", delta=1e-9):
         norms = np.linalg.norm(gmm.means, axis=0)
         if np.any(norms <= 0):
             raise ValueError("a zero center cannot be unit-normalized")
-        descriptors.append(
-            IcaDescriptor(
+        models.append(
+            IcaModel(
                 mixing=gmm.means / norms,
                 rates=gmm.weights * lam,
                 scales=norms,
@@ -515,7 +470,7 @@ def embed_as_ica(pair, tau_policy="certified", delta=1e-9):
                 lam=lam,
             )
         )
-    return tuple(descriptors)
+    return tuple(models)
 
 
 def equispaced_interleaved(h):

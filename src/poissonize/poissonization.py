@@ -21,11 +21,9 @@ __all__ = [
     "MixtureSource",
     "poisson_split",
     "lift",
-    "LiftedIcaModel",
+    "IcaModel",
     "build_lifted_model",
-    "sample_approx_ica",
     "sample_approx_ica_batch",
-    "sample_basic_ica",
     "ReductionParams",
     "compute_reduction_params",
     "tv_gap",
@@ -105,21 +103,24 @@ def _as_source(source):
 
 
 @dataclass
-class LiftedIcaModel:
-    """Exact ICA view of a Poissonized mixture in dimension n + 1.
+class IcaModel:
+    """Noisy ICA model X = mixing diag(scales) S + eta(tau) of a Poissonized
+    mixture.
 
-    mixing : (n+1, m) unit columns, lifted means normalized; the last row is
-        strictly positive because every lifted mean ends in 1.
-    rates : Poisson rates w_i * lambda of the sources.
-    scales : norms of the lifted means; source i is scale_i * Poisson(rate_i).
-    lifted_covariance : (n+1, n+1) noise covariance with an exactly zero last
-        row and column (the count coordinate is noiseless).
+    mixing : (n, m) unit columns, the normalized means of the mixture (or of
+        its lift, for :func:`build_lifted_model`).
+    rates : Poisson rates w_i * lambda of the sources; they sum to lambda.
+    scales : norms of those means; source i is scale_i * Poisson(rate_i).
+    noise_covariance : (n, n) noise covariance of one mixture draw.
+    lam, tau : Poisson repetition rate and truncation.
+    to_gmm() reconstructs the mixture whose Poissonization realizes exactly
+    this model.
     """
 
     mixing: np.ndarray
     rates: np.ndarray
     scales: np.ndarray
-    lifted_covariance: np.ndarray
+    noise_covariance: np.ndarray
     lam: float
     tau: float
 
@@ -127,32 +128,33 @@ class LiftedIcaModel:
         self.mixing = np.asarray(self.mixing, dtype=float)
         self.rates = np.asarray(self.rates, dtype=float)
         self.scales = np.asarray(self.scales, dtype=float)
-        self.lifted_covariance = np.asarray(self.lifted_covariance, dtype=float)
-        d, m = self.mixing.shape
+        self.noise_covariance = np.asarray(self.noise_covariance, dtype=float)
+        n, m = self.mixing.shape
         norms = np.linalg.norm(self.mixing, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("mixing columns must be unit norm (1e-12)")
-        if np.any(self.mixing[-1, :] <= 0):
-            raise ValueError("last mixing row must be strictly positive")
         if self.rates.shape != (m,) or self.scales.shape != (m,):
             raise ValueError("rates and scales need one entry per column")
         if np.any(self.rates <= 0) or np.any(self.scales <= 0):
             raise ValueError("rates and scales must be positive")
-        if self.lifted_covariance.shape != (d, d):
-            raise ValueError("lifted covariance shape mismatch")
-        if np.any(self.lifted_covariance[-1, :]) or np.any(
-            self.lifted_covariance[:, -1]
-        ):
-            raise ValueError("lifted covariance must have zero last row/column")
+        if self.noise_covariance.shape != (n, n):
+            raise ValueError("noise covariance shape mismatch")
         if abs(float(self.rates.sum()) - self.lam) > 1e-9 * max(1.0, self.lam):
             raise ValueError("rates must sum to lambda")
 
+    def to_gmm(self):
+        return GmmParams(
+            self.mixing * self.scales, self.rates / self.lam, self.noise_covariance
+        )
+
 
 def build_lifted_model(gmm, lam, tau):
-    """Lifted ICA model of a Poissonized mixture.
+    """Lifted ICA model of a Poissonized mixture, in dimension n + 1.
 
-    Columns of the mixing matrix are mu'_i / ||mu'_i|| with mu'_i = (mu_i, 1);
-    source i is ||mu'_i|| * Poisson(w_i * lambda).
+    Columns of the mixing matrix are mu'_i / ||mu'_i|| with mu'_i = (mu_i, 1),
+    so its last row is strictly positive; source i is
+    ||mu'_i|| * Poisson(w_i * lambda).  The noise covariance has an exactly
+    zero last row and column (the count coordinate is noiseless).
     """
     lam = float(lam)
     if lam <= 0:
@@ -162,50 +164,26 @@ def build_lifted_model(gmm, lam, tau):
     scales = np.linalg.norm(lifted, axis=0)
     cov = np.zeros((n + 1, n + 1))
     cov[:n, :n] = gmm.covariance
-    return LiftedIcaModel(
+    return IcaModel(
         mixing=lifted / scales,
         rates=gmm.weights * lam,
         scales=scales,
-        lifted_covariance=cov,
+        noise_covariance=cov,
         lam=lam,
         tau=float(tau),
     )
 
 
-def sample_approx_ica(source, lam, tau, rng):
-    """One Poissonized draw in R^(n+1), or SubroutineFailure if R > tau.
-
-    Draws R ~ Poisson(lambda); on success returns
-    sum_{j<=R} lift(Z_j) + eta' with eta' ~ N(0, (tau - R) Sigma').  The last
-    coordinate is exactly R.  ``source`` is a GmmParams or MixtureSource.
-    """
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if tau <= math.e * lam:
-        raise ValueError("tau must exceed e * lambda")
-    draw, covariance = _as_source(source)
-    r = rng.poisson(lam)
-    if r > tau:
-        raise SubroutineFailure(r, tau)
-    n = covariance.shape[0]
-    out = np.zeros(n + 1)
-    if r > 0:
-        out[:n] = np.asarray(draw(r, rng)).sum(axis=0)
-        out[n] = float(r)
-    factor = _psd_factor(covariance)
-    if np.any(factor):
-        out[:n] += math.sqrt(tau - r) * (factor @ rng.standard_normal(n))
-    return out
-
-
 def sample_approx_ica_batch(source, lam, tau, rng, count):
-    """Vectorized Poissonized draws, shape (count, n + 1).
+    """Poissonized draws in R^(n+1), shape (count, n + 1).
 
-    Statistically identical to repeated :func:`sample_approx_ica`, but the
-    inner sums are grouped by repetition count, so the two entry points
-    consume the generator in different orders and yield different (equally
-    valid) streams for the same seed.
+    Each row draws R ~ Poisson(lambda) and is
+    sum_{j<=R} lift(Z_j) + eta' with eta' ~ N(0, (tau - R) Sigma'); its last
+    coordinate is exactly R, and any R > tau raises SubroutineFailure.  The
+    first n coordinates are the basic ICA observation X = A S + eta(tau): the
+    sum of R mixture draws already carries noise eta(R), and the top-up term
+    eta(tau - R) completes it to eta(tau).  The inner sums are grouped by
+    repetition count.  ``source`` is a GmmParams or MixtureSource.
     """
     lam = float(lam)
     count = int(count)
@@ -239,69 +217,22 @@ def sample_approx_ica_batch(source, lam, tau, rng, count):
     return out
 
 
-def sample_basic_ica(source, lam, tau, rng, count):
-    """Unlifted Poissonized draws X = A S + eta(tau), shape (count, n).
-
-    These are exactly the first n coordinates of the lifted batch: the sum of
-    R mixture draws already carries noise eta(R), and the top-up term
-    eta(tau - R) completes it to eta(tau).
-    """
-    return sample_approx_ica_batch(source, lam, tau, rng, count)[:, :-1]
-
-
 @dataclass
 class ReductionParams:
-    """Committed parameter schedule of the reduction.
-
-    tau is the Poisson truncation, eps_star the accuracy passed to the ICA
-    stage, moment_bound / cumulant_order / cumulant_bound the certificate
-    handed to the ICA contract, q_theta the polynomial threshold factor
-    (stored alongside its logarithm since it can overflow a double).
-    """
+    """Committed parameter schedule of the reduction: the Poisson rate lambda
+    and the truncation tau."""
 
     lam: float
     tau: float
-    eps_star: float
-    moment_bound: float
-    cumulant_order: int
-    cumulant_bound: float
-    q_theta: float
-    log_q_theta: float
-    delta1: float
-    delta2: float
-    sigma: float
-    c_policy: float = 1.0
-    m_formula: str = "proof"
-    tau_overridden: bool = False
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if self.tau <= math.e * self.lam:
             raise ValueError("tau must exceed e * lambda")
-        for name in ("eps_star", "moment_bound", "cumulant_bound", "q_theta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.cumulant_order < 2:
-            raise ValueError("cumulant order must be >= 2")
 
     def to_dict(self):
-        return {
-            "lambda": self.lam,
-            "tau": self.tau,
-            "eps_star": self.eps_star,
-            "moment_bound": self.moment_bound,
-            "cumulant_order": self.cumulant_order,
-            "cumulant_bound": self.cumulant_bound,
-            "q_theta": self.q_theta,
-            "log_q_theta": self.log_q_theta,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "sigma": self.sigma,
-            "c_policy": self.c_policy,
-            "m_formula": self.m_formula,
-            "tau_overridden": self.tau_overridden,
-        }
+        return {"lambda": self.lam, "tau": self.tau}
 
 
 def _log_plus(x):
@@ -309,30 +240,12 @@ def _log_plus(x):
     return max(math.log(x), 0.0)
 
 
-def compute_reduction_params(
-    n,
-    m,
-    d,
-    delta,
-    eps,
-    w,
-    u,
-    r,
-    b,
-    sigma,
-    c_policy=1.0,
-    m_formula="proof",
-    tau_override=None,
-):
+def compute_reduction_params(n, m, d, delta, eps, w, u, r, b, sigma, tau_override=None):
     """Parameter schedule for learning an m-component mixture in R^n.
 
-    Splits the failure budget delta evenly, sets lambda = m, computes the
-    truncation from the polynomial threshold factor q(Theta) in log space,
-    shrinks eps by the lift distortion, and forms the moment bound M for the
-    ICA contract.  ``m_formula`` selects between the two published variants
-    of M: "proof" uses (sqrt(1+u^2) * w)^(d+1), "algorithm"
-    (w / sqrt(1+u^2))^(d+1); both are joined with (tau*sigma)^(d+1) and the
-    (d+1)^(d+1) factor.
+    Splits the failure budget delta evenly, sets lambda = m, and computes the
+    truncation from the polynomial threshold factor q(Theta), kept in log
+    space since it can overflow a double.
 
     Bounds: w >= w_max/w_min >= 1, u >= max ||mu_i||, r a positive separation
     parameter, b a positive conditioning floor, sigma^2 the largest noise
@@ -355,10 +268,9 @@ def compute_reduction_params(
         raise ValueError("bounds u, r, b must be positive")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if m_formula not in ("proof", "algorithm"):
-        raise ValueError("m_formula must be 'proof' or 'algorithm'")
 
-    delta1 = delta2 = delta / 2.0
+    # half of delta bounds the ICA stage's failure, half the truncation's
+    half_delta = delta / 2.0
     lam = float(m)
     d2 = d * d
     log_q = (
@@ -367,46 +279,13 @@ def compute_reduction_params(
         + (d2 * _log_plus(sigma) if sigma > 0 else 0.0)
         + d * _log_plus(1.0 / b)
         + math.log(1.0 / eps)
-        + math.log(1.0 / delta1)
+        + math.log(1.0 / half_delta)
     )
-    q_theta = math.exp(log_q) if log_q < 700.0 else math.inf
-
     if tau_override is None:
-        tau = 4.0 * (math.log(1.0 / delta2) + log_q) * max(
-            (math.e * lam) ** 2, 4.0 * c_policy * d2
-        )
-        overridden = False
+        tau = 4.0 * (math.log(1.0 / half_delta) + log_q) * max((math.e * lam) ** 2, 4.0 * d2)
     else:
         tau = float(tau_override)
-        overridden = True
-
-    lift_norm = math.sqrt(1.0 + u * u)
-    eps_star = eps / (lift_norm + 2.0 * (1.0 + u * u))
-
-    log_tau_sigma = (d + 1) * math.log(tau * sigma) if tau * sigma > 0 else -math.inf
-    if m_formula == "proof":
-        log_w_term = (d + 1) * math.log(lift_norm * w)
-    else:
-        log_w_term = (d + 1) * math.log(w / lift_norm) if w / lift_norm > 0 else -math.inf
-    log_m_bound = max(log_tau_sigma, log_w_term) + (d + 1) * math.log(d + 1)
-    moment_bound = math.exp(log_m_bound) if log_m_bound < 700.0 else math.inf
-
-    return ReductionParams(
-        lam=lam,
-        tau=tau,
-        eps_star=eps_star,
-        moment_bound=moment_bound,
-        cumulant_order=d + 1,
-        cumulant_bound=float(w),
-        q_theta=q_theta,
-        log_q_theta=log_q,
-        delta1=delta1,
-        delta2=delta2,
-        sigma=float(sigma),
-        c_policy=float(c_policy),
-        m_formula=m_formula,
-        tau_overridden=overridden,
-    )
+    return ReductionParams(lam=lam, tau=tau)
 
 
 def tv_gap(lam, tau, n_samples):

@@ -42,6 +42,24 @@ def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
 
+def run_module(*args):
+    """``python -m poissonize ARGS`` in a child process, without an install."""
+    # A relative PYTHONPATH inherited from the parent would only resolve
+    # from the repo root, so the package's own source directory goes first.
+    src_dir = str(Path(poissonize.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src_dir] + ([inherited] if inherited else [])),
+    }
+    return subprocess.run(
+        [sys.executable, "-m", "poissonize", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestLearnCommand:
     def test_success_schema(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY_LEARN)
@@ -90,6 +108,25 @@ class TestLearnCommand:
         main(["learn", "--config", cfg, "--trials", "1", "--out", str(out)])
         assert len(read_rows(out)) == 1
 
+    def test_degenerate_model_fails_as_modeled(self, tmp_path):
+        """Four 1-D means give a rank-deficient order-4 cumulant: the trial
+        fails with exit 2 and a recorded reason, not a traceback."""
+        cfg = write_config(tmp_path, {
+            "gmm": {"means": [[0.5], [1.0], [1.5], [2.0]],
+                    "weights": [0.25, 0.25, 0.25, 0.25],
+                    "covariance": [[0.01]]},
+            "samples": 20_000, "tau": 30,
+            "bounds": {"w": 1, "u": 2, "r": 0.5, "b": 1e-300},
+        })
+        out = tmp_path / "out"
+        proc = run_module("learn", "--config", cfg, "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        (row,) = read_rows(out)
+        assert row["failed"] == "true"
+        assert row["reason"].startswith("DegenerateModelError: ")
+        assert read_summary(out)["errors"] == [row["reason"]]
+
     def test_gmm_and_generator_conflict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TOY_LEARN, "generator": {"n": 3}})
         assert main(["learn", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -126,6 +163,30 @@ class TestConfigErrors:
         missing = str(tmp_path / "nope.json")
         assert main(["learn", "--config", missing, "--out", str(tmp_path)]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, payload, fragment", [
+        ("learn", {**TOY_LEARN, "samples": "many"}, "'many'"),
+        ("learn", {**TOY_LEARN, "gmm": {**TOY_LEARN["gmm"], "weights": [0.5, 0.6]}},
+         "sum to 1"),
+        ("learn", {"tau": "large"}, "'large'"),
+        ("learn", {"bounds": {"w": 0.5, "u": 1.0, "r": 1.0, "b": 1.0}}, "w must be"),
+        ("smoothed", {"n": "ten"}, "'ten'"),
+        ("hardness", {"h_values": ["tenth"]}, "'tenth'"),
+        ("hardness", {"mode": "pigeonhole", "k": [5]}, "list"),
+        ("ica-bench", {"trials": None}, "NoneType"),
+        ("reduction-check", {"lam": "five"}, "'five'"),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
+                                             payload, fragment):
+        """A value that fails to convert or validate before the first trial
+        is one usage-error line, exit 1 and no records."""
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("poissonize: error: bad config value")
+        assert fragment in err[0]
+        assert not (out / "records.csv").exists()
 
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
@@ -243,20 +304,7 @@ class TestOutputHygiene:
 
 class TestInstalledEntryPoint:
     def test_help_runs(self):
-        # A relative PYTHONPATH inherited from the parent would only resolve
-        # from the repo root, so the package's own source directory goes first.
-        src_dir = str(Path(poissonize.__file__).resolve().parents[1])
-        inherited = os.environ.get("PYTHONPATH")
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join([src_dir] + ([inherited] if inherited else [])),
-        }
-        proc = subprocess.run(
-            [sys.executable, "-m", "poissonize", "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: poissonize")
         assert "reduction-check" in proc.stdout

@@ -22,7 +22,6 @@ from poissonize import (
     khatri_rao_power,
     recover_from_cumulants,
     sigma_min,
-    underdetermined_ica,
 )
 
 
@@ -178,6 +177,8 @@ class TestEstimateCumulantPair:
 
 
 class TestUnderdeterminedIca:
+    """Streamed cumulant estimates fed to the recovery."""
+
     def test_identity_mixing_noiseless(self):
         rng = SeededRng(11)
         rates = np.array([1.0, 2.0, 3.0])
@@ -187,7 +188,8 @@ class TestUnderdeterminedIca:
                 [rng.poisson(r, size=count) for r in rates]
             ).astype(float)
 
-        est = underdetermined_ica(source, 3, 4, 1_000_000, rng)
+        m0, k_next, _ = estimate_cumulant_pair(source, 4, 1_000_000)
+        est = recover_from_cumulants(m0, k_next, 3, 4, rng)
         _, _, err = align_columns(est.columns, np.eye(3))
         assert err < 0.05
 
@@ -201,7 +203,8 @@ class TestUnderdeterminedIca:
             ).astype(float)
             return s + 0.5 * rng.standard_normal((count, 3))
 
-        est = underdetermined_ica(source, 3, 4, 1_000_000, rng)
+        m0, k_next, _ = estimate_cumulant_pair(source, 4, 1_000_000)
+        est = recover_from_cumulants(m0, k_next, 3, 4, rng)
         _, _, err = align_columns(est.columns, np.eye(3))
         assert err < 0.1
 
@@ -219,7 +222,8 @@ class TestUnderdeterminedIca:
             ).astype(float)
             return s @ a.T
 
-        est = underdetermined_ica(source, 6, 4, 10_000_000, rng)
+        m0, k_next, _ = estimate_cumulant_pair(source, 4, 10_000_000)
+        est = recover_from_cumulants(m0, k_next, 6, 4, rng)
         _, _, err = align_columns(est.columns, a)
         assert err < 0.15
 
@@ -236,7 +240,8 @@ class TestUnderdeterminedIca:
                     [rng.poisson(r, size=count) for r in rates]
                 ).astype(float)
 
-            est = underdetermined_ica(source, 3, 4, total, rng)
+            m0, k_next, _ = estimate_cumulant_pair(source, 4, total)
+            est = recover_from_cumulants(m0, k_next, 3, 4, rng)
             return align_columns(est.columns, np.eye(3))[2]
 
         small = np.median([run(400 + i, 50_000) for i in range(20)])

@@ -10,7 +10,7 @@ from scipy.special import ndtr
 from poissonize import (
     DegeneratePairError,
     GmmParams,
-    IcaDescriptor,
+    IcaModel,
     KernelConditioningError,
     MixturePair,
     PointSet,
@@ -370,22 +370,22 @@ class TestEmbedAsIca:
 
     def test_descriptor_validation(self):
         with pytest.raises(ValueError):
-            IcaDescriptor(
+            IcaModel(
                 mixing=np.eye(2) * 2.0,
                 rates=np.array([1.0, 1.0]),
                 scales=np.array([1.0, 1.0]),
                 noise_covariance=np.eye(2),
-                tau=10,
                 lam=2.0,
+                tau=10,
             )
         with pytest.raises(ValueError):
-            IcaDescriptor(
+            IcaModel(
                 mixing=np.eye(2),
                 rates=np.array([1.0, 0.5]),
                 scales=np.array([1.0, 1.0]),
                 noise_covariance=np.eye(2),
-                tau=10,
                 lam=2.0,
+                tau=10,
             )
 
 

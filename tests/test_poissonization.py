@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from poissonize import (
     GmmParams,
-    LiftedIcaModel,
+    IcaModel,
     MixtureSource,
     SeededRng,
     SubroutineFailure,
@@ -25,9 +25,7 @@ from poissonize import (
     lift,
     poisson_split,
     poisson_tail_threshold,
-    sample_approx_ica,
     sample_approx_ica_batch,
-    sample_basic_ica,
     truncated_poisson_tv,
     tv_gap,
 )
@@ -36,6 +34,11 @@ from poissonize import (
 def toy_gmm(noise=0.0):
     means = np.array([[2.0, 0.0], [0.0, 3.0]])
     return GmmParams(means, np.array([0.5, 0.5]), noise * np.eye(2))
+
+
+def one_draw(source, lam, tau, rng):
+    """A single Poissonized draw: one row of the batch sampler."""
+    return sample_approx_ica_batch(source, lam, tau, rng, 1)[0]
 
 
 class TestLift:
@@ -113,22 +116,38 @@ class TestBuildLiftedModel:
 
     def test_covariance_zero_last_row_and_column(self):
         model = build_lifted_model(toy_gmm(noise=0.3), 2.0, 10)
-        assert np.all(model.lifted_covariance[-1, :] == 0)
-        assert np.all(model.lifted_covariance[:, -1] == 0)
+        assert np.all(model.noise_covariance[-1, :] == 0)
+        assert np.all(model.noise_covariance[:, -1] == 0)
         np.testing.assert_array_equal(
-            model.lifted_covariance[:2, :2], 0.3 * np.eye(2)
+            model.noise_covariance[:2, :2], 0.3 * np.eye(2)
         )
 
     def test_model_invariants_enforced(self):
         with pytest.raises(ValueError):
-            LiftedIcaModel(
+            IcaModel(
                 mixing=np.array([[1.0], [1.0]]),  # not unit norm
                 rates=np.array([1.0]),
                 scales=np.array([1.0]),
-                lifted_covariance=np.zeros((2, 2)),
+                noise_covariance=np.zeros((2, 2)),
                 lam=1.0,
                 tau=10.0,
             )
+        with pytest.raises(ValueError):
+            IcaModel(
+                mixing=np.eye(2),
+                rates=np.array([1.0, 1.0]),
+                scales=np.array([1.0, 1.0]),
+                noise_covariance=np.zeros((3, 3)),  # not (n, n)
+                lam=2.0,
+                tau=10.0,
+            )
+
+    def test_to_gmm_returns_lifted_mixture(self):
+        gmm = toy_gmm(noise=0.3)
+        back = build_lifted_model(gmm, 2.0, 10).to_gmm()
+        np.testing.assert_allclose(back.means[:2], gmm.means, atol=1e-12)
+        np.testing.assert_allclose(back.means[2], 1.0, atol=1e-12)
+        np.testing.assert_allclose(back.weights, gmm.weights, atol=1e-12)
 
 
 class TestSampleApproxIca:
@@ -140,7 +159,7 @@ class TestSampleApproxIca:
         tau = 9
         zeros = []
         for _ in range(2000):
-            s = sample_approx_ica(gmm, 0.05, tau, rng)
+            s = one_draw(gmm, 0.05, tau, rng)
             if s[-1] == 0.0:
                 zeros.append(s[:2])
         zeros = np.array(zeros)
@@ -154,14 +173,14 @@ class TestSampleApproxIca:
         gmm = GmmParams(np.array([[1.0]]), np.array([1.0]), np.zeros((1, 1)))
         rng = SeededRng(5)
         for _ in range(200):
-            s = sample_approx_ica(gmm, 1.0, 8, rng)
+            s = one_draw(gmm, 1.0, 8, rng)
             assert s[0] == s[1]
             assert s[1] == int(s[1]) and 0 <= s[1] <= 8
 
     def test_last_coordinate_is_integer_count(self):
         rng = SeededRng(6)
         for _ in range(300):
-            s = sample_approx_ica(toy_gmm(noise=0.1), 2.0, 12, rng)
+            s = one_draw(toy_gmm(noise=0.1), 2.0, 12, rng)
             assert s[-1] == int(s[-1])
             assert 0 <= s[-1] <= 12
 
@@ -170,19 +189,19 @@ class TestSampleApproxIca:
         # lambda = 3, tau just above e*lambda: overflow happens quickly
         with pytest.raises(SubroutineFailure) as info:
             for _ in range(10_000):
-                sample_approx_ica(toy_gmm(), 3.0, 9, rng)
+                one_draw(toy_gmm(), 3.0, 9, rng)
         assert info.value.count > 9
 
     def test_tau_below_e_lambda_rejected(self):
         with pytest.raises(ValueError):
-            sample_approx_ica(toy_gmm(), 3.0, 8, SeededRng(0))
+            one_draw(toy_gmm(), 3.0, 8, SeededRng(0))
 
     def test_mixture_source_wrapper(self):
         src = MixtureSource(
             draw=lambda count, rng: np.ones((count, 2)),
             covariance=np.zeros((2, 2)),
         )
-        s = sample_approx_ica(src, 1.0, 8, SeededRng(8))
+        s = one_draw(src, 1.0, 8, SeededRng(8))
         assert s[0] == s[1] == s[2] or s[-1] == 0.0
 
 
@@ -238,7 +257,7 @@ class TestSampleApproxIcaBatch:
         n, failures = 20_000, 0
         for _ in range(n):
             try:
-                sample_approx_ica(toy_gmm(), lam, tau, rng)
+                one_draw(toy_gmm(), lam, tau, rng)
             except SubroutineFailure:
                 failures += 1
         got = 1.0 - failures / n
@@ -246,8 +265,12 @@ class TestSampleApproxIcaBatch:
         assert abs(got - accept) < 4 * se + 1e-12
 
     def test_basic_ica_strips_count(self):
-        out = sample_basic_ica(toy_gmm(noise=0.1), 2.0, 12, SeededRng(14), 50)
+        """Without the count coordinate a row is the basic ICA observation:
+        with Sigma = 0 it is exactly A S for integer counts S."""
+        out = sample_approx_ica_batch(toy_gmm(), 2.0, 12, SeededRng(14), 50)[:, :-1]
         assert out.shape == (50, 2)
+        counts = out / np.array([2.0, 3.0])
+        np.testing.assert_array_equal(counts, np.round(counts))
 
 
 class TestComputeReductionParams:
@@ -259,11 +282,6 @@ class TestComputeReductionParams:
     def test_lambda_equals_component_count(self):
         assert self.default_params().lam == 6.0
 
-    def test_cumulant_order_and_bound(self):
-        p = self.default_params(d=4, w=1.5)
-        assert p.cumulant_order == 5
-        assert p.cumulant_bound == 1.5
-
     def test_tau_grows_as_delta_shrinks(self):
         taus = [self.default_params(delta=d).tau for d in (0.2, 0.02, 0.002)]
         assert taus[0] < taus[1] < taus[2]
@@ -272,20 +290,10 @@ class TestComputeReductionParams:
         p = self.default_params()
         assert p.tau > math.e * p.lam
 
-    def test_eps_star_shrinks_by_lift_distortion(self):
-        u = 2.0
-        p = self.default_params(eps=0.25, u=u)
-        want = 0.25 / (math.sqrt(1 + u * u) + 2 * (1 + u * u))
-        assert p.eps_star == pytest.approx(want)
-
-    def test_moment_bound_formula_variants(self):
-        a = self.default_params(m_formula="proof")
-        b = self.default_params(m_formula="algorithm")
-        assert a.moment_bound >= b.moment_bound
-
     def test_tau_override_recorded(self):
         p = self.default_params(tau_override=25.0)
-        assert p.tau == 25.0 and p.tau_overridden
+        assert p.tau == 25.0
+        assert p.to_dict() == {"lambda": 6.0, "tau": 25.0}
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
@@ -308,10 +316,6 @@ class TestComputeReductionParams:
         )
         assert p.lam == float(m)
         assert p.tau > math.e * p.lam
-        assert p.delta1 == p.delta2 == delta / 2
-        assert p.cumulant_order == 5
-        assert p.eps_star > 0
-        assert p.moment_bound > 0
 
 
 class TestTvGap:
