@@ -15,7 +15,6 @@ from .cumulants import (
     analytic_ica_cumulant,
     assemble_flat_cumulant,
     empirical_cumulant,
-    empirical_cumulant_flat,
     joint_cumulant,
     raw_moments_to_cumulants,
 )
@@ -24,17 +23,13 @@ from .distributions import (
     SeededRng,
     certified_tail_threshold,
     empirical_poisson_tv,
-    gaussian_abs_moment,
     gmm_pdf,
-    poisson_cumulant,
     poisson_moment,
     poisson_pmf,
     poisson_tail_threshold,
-    read_samples,
     sample_gmm,
     stirling2,
     truncated_poisson_tv,
-    write_samples,
 )
 from .gmm_learner import (
     FeasibilityError,
@@ -81,7 +76,6 @@ from .poissonization import (
     SubroutineFailure,
     build_lifted_model,
     compute_reduction_params,
-    lift,
     poisson_split,
     sample_approx_ica_batch,
     tv_gap,
@@ -102,8 +96,6 @@ from .records import (
     write_summary,
 )
 from .tensor_linalg import (
-    FlatIndexMap,
-    flatten_index,
     khatri_rao,
     khatri_rao_power,
     multilinear_kr_square,

@@ -32,13 +32,13 @@ from .distributions import (
 )
 from .gmm_learner import FeasibilityError, MeanBounds, derive_bounds, learn_means
 from .ica import (
+    _SUPPORTED_ORDERS,
     DegenerateModelError,
     IllConditionedError,
     align_columns,
     recover_from_cumulants,
 )
 from .lowdim_hardness import (
-    PointSet,
     build_close_pair,
     equispaced_interleaved,
     pair_to_json,
@@ -98,6 +98,23 @@ def _config_values():
         raise UsageError(f"bad config value: {exc}") from None
 
 
+def _count(value, name):
+    """A count from the config (trials, instances, samples, chunk rows):
+    an integer of at least 1."""
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
+def _cumulant_order(value):
+    """The flattened cumulant order d, one the ICA solver supports."""
+    d = int(value)
+    if d not in _SUPPORTED_ORDERS:
+        raise ValueError(f"d must be one of {_SUPPORTED_ORDERS}, got {d}")
+    return d
+
+
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------
@@ -130,6 +147,9 @@ def _random_separated_means(n, m, norm_low, norm_high, min_angle_deg, rng, tries
 
 
 def _gmm_from_config(block):
+    missing = [key for key in ("means", "weights", "covariance") if key not in block]
+    if missing:
+        raise ValueError(f"gmm block lacks {', '.join(missing)}")
     means = np.asarray(block["means"], dtype=float)
     if means.ndim != 2:
         raise UsageError("gmm means must be a list of mean vectors")
@@ -149,13 +169,15 @@ def _cmd_learn(config, out_dir):
     tau_setting = config.get("tau", "certified")
     with _config_values():
         seed = int(config.get("seed", 0))
-        trials = int(config.get("trials", 1))
-        d = int(config.get("d", 4))
+        trials = config.get("trials", 1)
+        d = _cumulant_order(config.get("d", 4))
         delta = float(config.get("delta", 0.1))
         eps = float(config.get("eps", 0.25))
-        samples = int(config.get("samples", 1_000_000))
-        with_weights = bool(config.get("with_weights", True))
-        chunk = int(config.get("chunk", 1 << 17))
+        samples = _count(config.get("samples", 1_000_000), "samples")
+        with_weights = config.get("with_weights", True)
+        if not isinstance(with_weights, bool):
+            raise TypeError(f"with_weights must be true or false, got {with_weights!r}")
+        chunk = _count(config.get("chunk", 1 << 17), "chunk")
         fixed_tau = (
             None if tau_setting in ("certified", "schedule") else float(tau_setting)
         )
@@ -163,7 +185,11 @@ def _cmd_learn(config, out_dir):
     generator = dict(_GENERATOR_DEFAULTS)
     if "generator" in config:
         _check_keys(config["generator"], _GENERATOR_DEFAULTS, where="generator")
-        generator.update(config["generator"])
+        with _config_values():
+            generator.update({
+                key: type(_GENERATOR_DEFAULTS[key])(value)
+                for key, value in config["generator"].items()
+            })
 
     fixed_gmm = None
     if "gmm" in config:
@@ -277,7 +303,7 @@ def _cmd_smoothed(config, out_dir):
         _require(not unknown, f"unknown families: {', '.join(unknown)}")
         n = int(config.get("n", 10))
         sigma = float(config.get("sigma", 0.1))
-        trials = int(config.get("trials", 50))
+        trials = config.get("trials", 50)
         seed = int(config.get("seed", 0))
     resolved = {
         "families": families, "n": n, "sigma": sigma,
@@ -319,6 +345,8 @@ def _cmd_hardness(config, out_dir):
     if mode == "decay":
         with _config_values():
             h_values = [float(h) for h in config.get("h_values", [0.1, 0.05, 0.025])]
+            if not h_values:
+                raise ValueError("h_values must not be empty")
         resolved = {"mode": mode, "h_values": h_values, "seed": seed}
         records = []
         for index, h in enumerate(h_values):
@@ -342,7 +370,8 @@ def _cmd_hardness(config, out_dir):
         with _config_values():
             k = int(config.get("k", 5))
             dimension = int(config.get("dimension", 1))
-            instances = int(config.get("instances", config.get("trials", 10)))
+            instances = _count(config.get("instances", config.get("trials", 10)),
+                               "instances")
         resolved = {
             "mode": mode, "k": k, "dimension": dimension,
             "instances": instances, "l1_samples": l1_samples, "seed": seed,
@@ -412,8 +441,8 @@ def _cmd_ica_bench(config, out_dir):
     with _config_values():
         n = int(config.get("n", 4))
         m = int(config.get("m", 6))
-        d = int(config.get("d", 4))
-        trials = int(config.get("trials", 20))
+        d = _cumulant_order(config.get("d", 4))
+        trials = config.get("trials", 20)
         floor = float(config.get("sigma_floor", 1e-3))
         cum_low = float(config.get("cum_low", 1.0))
         cum_high = float(config.get("cum_high", 2.0))
@@ -473,7 +502,7 @@ def _cmd_reduction_check(config, out_dir):
     with _config_values():
         lam = float(config.get("lam", 5.0))
         probs = [float(p) for p in config.get("probs", [0.2, 0.3, 0.5])]
-        samples = int(config.get("samples", 100_000))
+        samples = _count(config.get("samples", 100_000), "samples")
         delta = float(config.get("delta", 1e-6))
         marginal_tol = float(config.get("marginal_tol", 0.02))
         corr_tol = float(config.get("corr_tol", 0.02))
@@ -568,6 +597,10 @@ def main(argv=None):
             config["seed"] = args.seed
         if args.trials is not None:
             config["trials"] = args.trials
+        if "trials" in config:
+            # every command reads its trial count from here
+            with _config_values():
+                config["trials"] = _count(config["trials"], "trials")
         out_dir = args.out or config.get("out") or "."
         os.makedirs(out_dir, exist_ok=True)
         started = time.perf_counter()

@@ -3,8 +3,9 @@
 The estimators run in one streaming pass: mixed raw moments are accumulated
 for every sorted index multiset up to the requested order (with compensated
 summation across chunks), then joint cumulants are assembled through the
-set-partition formula and scattered to all index permutations, which makes
-the flattened output symmetric by construction.
+set-partition formula and read back at every index permutation, which makes
+the flattened output symmetric by construction.  Tensors are flattened in
+row-major order (see :mod:`poissonize.tensor_linalg`).
 
 Chunks are shifted by a fixed vector (usually the first chunk's mean) before
 accumulation.  Cumulants of order >= 2 are invariant under any constant
@@ -14,15 +15,14 @@ magnitudes that drive estimator variance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .tensor_linalg import FlatIndexMap, khatri_rao_power
+from .tensor_linalg import khatri_rao_power
 
 __all__ = [
     "FlatCumulant",
@@ -32,28 +32,22 @@ __all__ = [
     "set_partitions",
     "joint_cumulant",
     "assemble_flat_cumulant",
-    "empirical_cumulant_flat",
     "analytic_ica_cumulant",
 ]
 
 _MAX_UNIVARIATE_ORDER = 6
-_FLAT_ORDERS = (4, 6)
 _MAX_JOINT_ORDER = 8
 
 
 @dataclass
 class FlatCumulant:
-    """Order-``ell`` cumulant tensor over R^n, flattened to length n**ell.
-
-    ``data[delta - 1]`` holds the entry at 1-based flat position ``delta``
-    (see :class:`~poissonize.tensor_linalg.FlatIndexMap`).
+    """Order-``ell`` cumulant tensor over R^n, flattened row-major to length
+    n**ell: ``data.reshape((n,) * ell)[i]`` is the entry at multi-index ``i``.
     """
 
     order: int
     dimension: int
     data: np.ndarray
-
-    CONVENTION = "delta-1based"
 
     def __post_init__(self):
         self.order = int(self.order)
@@ -66,11 +60,6 @@ class FlatCumulant:
                 f"expected {self.dimension ** self.order} entries, got {self.data.size}"
             )
 
-    def entry(self, indices):
-        """Entry at a 1-based multi-index."""
-        pos = FlatIndexMap(self.dimension, self.order).to_flat(indices)
-        return float(self.data[pos - 1])
-
     def as_matrix(self):
         """Square matrix view for even order: rows index the first half of
         the indices, columns the second half."""
@@ -78,28 +67,6 @@ class FlatCumulant:
             raise ValueError("matrix view needs an even order")
         s = self.dimension ** (self.order // 2)
         return self.data.reshape(s, s)
-
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "dimension": self.dimension,
-            "data": self.data.tolist(),
-            "convention": self.CONVENTION,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload):
-        convention = payload.get("convention", cls.CONVENTION)
-        if convention != cls.CONVENTION:
-            raise ValueError(f"unknown flattening convention {convention!r}")
-        return cls(payload["order"], payload["dimension"], np.array(payload["data"]))
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def raw_moments_to_cumulants(moments):
@@ -295,8 +262,8 @@ def assemble_flat_cumulant(acc, ell, coordinates=None):
     """Flattened order-``ell`` cumulant tensor from accumulated moments.
 
     Each sorted index multiset is evaluated once through the set-partition
-    formula and the value is written to every distinct permutation, so the
-    output is exactly symmetric.  ``coordinates`` restricts the tensor to a
+    formula and every permutation of it reads that one value, so the output
+    is exactly symmetric.  ``coordinates`` restricts the tensor to a
     subset of the accumulator's coordinates (in the given order); by default
     all of them are used.
     """
@@ -309,36 +276,18 @@ def assemble_flat_cumulant(acc, ell, coordinates=None):
     if any(not 0 <= c < acc.dim for c in coordinates):
         raise ValueError("coordinate out of range")
     n = len(coordinates)
-    data = np.zeros(n**ell)
-    strides = np.array([n ** (ell - 1 - j) for j in range(ell)])
+    shape = (n,) * ell
+    by_multiset = np.zeros(shape)
     for key in combinations_with_replacement(range(n), ell):
-        value = joint_cumulant(acc.moment, tuple(coordinates[k] for k in key))
-        for perm in set(permutations(key)):
-            data[int(np.dot(perm, strides))] = value
+        by_multiset[key] = joint_cumulant(acc.moment, tuple(coordinates[k] for k in key))
+    # every multi-index, in row-major order, sorted into its multiset
+    sorted_index = np.sort(np.indices(shape).reshape(ell, -1), axis=0)
+    data = by_multiset[tuple(sorted_index)]
     if ell == 1:
         # the accumulator works on shifted samples; order 1 is the only
         # cumulant that is not shift invariant
         data += acc.shift[coordinates]
     return FlatCumulant(ell, n, data)
-
-
-def empirical_cumulant_flat(samples, ell):
-    """Flattened order-``ell`` cross-cumulant tensor of vector samples.
-
-    Supported orders are 4 and 6 (even, so the output has a square matrix
-    view).  Symmetric under index permutation by construction.
-    """
-    ell = int(ell)
-    if ell not in _FLAT_ORDERS:
-        raise ValueError(f"order must be one of {_FLAT_ORDERS}")
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("samples must be a nonempty (N, n) array")
-    acc = MomentAccumulator(samples.shape[1], ell, shift=samples.mean(axis=0))
-    chunk = 1 << 16
-    for start in range(0, samples.shape[0], chunk):
-        acc.update(samples[start : start + chunk])
-    return assemble_flat_cumulant(acc, ell)
 
 
 def analytic_ica_cumulant(mixing, source_cumulants, ell):

@@ -10,8 +10,7 @@ rejection (PTRS) for large ones.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -22,16 +21,12 @@ __all__ = [
     "sample_gmm",
     "gmm_pdf",
     "poisson_pmf",
-    "poisson_cumulant",
     "poisson_moment",
     "stirling2",
-    "gaussian_abs_moment",
     "empirical_poisson_tv",
     "truncated_poisson_tv",
     "poisson_tail_threshold",
     "certified_tail_threshold",
-    "write_samples",
-    "read_samples",
 ]
 
 _MAX_MOMENT_ORDER = 20
@@ -296,14 +291,6 @@ def _stirling2(n, k):
 _STIRLING_CACHE: dict = {}
 
 
-def poisson_cumulant(ell, lam):
-    """Every cumulant of a Poisson rate equals the rate."""
-    _check_order(ell)
-    if lam < 0:
-        raise ValueError("rate must be nonnegative")
-    return lam
-
-
 def poisson_moment(ell, lam):
     """Raw moment E[Y^ell] of Y ~ Poisson(lam): sum_i lam^i S(ell, i).
 
@@ -311,22 +298,6 @@ def poisson_moment(ell, lam):
     """
     ell = _check_order(ell)
     return sum(lam**i * _stirling2(ell, i) for i in range(1, ell + 1))
-
-
-def gaussian_abs_moment(ell, sigma):
-    """E|X|^ell for X ~ N(0, sigma^2).
-
-    Even ell: sigma^ell * ell! / (2^(ell/2) (ell/2)!).
-    Odd ell:  sigma^ell * 2^(ell/2) ((ell-1)/2)! / sqrt(pi).
-    """
-    ell = _check_order(ell)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if ell % 2 == 0:
-        half = ell // 2
-        return sigma**ell * math.factorial(ell) / (2.0**half * math.factorial(half))
-    half = (ell - 1) // 2
-    return sigma**ell * 2.0 ** (ell / 2.0) * math.factorial(half) / math.sqrt(math.pi)
 
 
 def poisson_pmf(k, lam):
@@ -419,44 +390,3 @@ def certified_tail_threshold(delta, lam):
         if tau > 100 * (lam + 1.0) + 1000:
             raise RuntimeError("tail threshold search failed to terminate")
     return tau
-
-
-# ---------------------------------------------------------------------------
-# raw sample dumps
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"GMMS"
-_HEADER = struct.Struct("<4sii4x")  # magic, n, N, 4 pad bytes = 16 bytes
-
-
-def write_samples(path, samples):
-    """Write samples to the raw binary dump format.
-
-    16-byte header (magic ``GMMS``, dimension n and count N as little-endian
-    32-bit integers, 4 zero pad bytes) followed by row-major little-endian
-    float64 data.
-    """
-    samples = np.ascontiguousarray(samples, dtype="<f8")
-    if samples.ndim != 2:
-        raise ValueError("samples must be a 2-D array")
-    count, n = samples.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, n, count))
-        fh.write(samples.tobytes())
-
-
-def read_samples(path):
-    """Read a raw binary sample dump written by :func:`write_samples`."""
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("truncated header")
-        magic, n, count = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        if n < 0 or count < 0:
-            raise ValueError("negative dimensions in header")
-        data = np.frombuffer(fh.read(8 * n * count), dtype="<f8")
-    if data.size != n * count:
-        raise ValueError("truncated data section")
-    return data.reshape(count, n).copy()

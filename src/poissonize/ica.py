@@ -12,7 +12,6 @@ each column is then deflattened to a unit vector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,24 +64,6 @@ class IcaEstimate:
         norms = np.linalg.norm(self.columns, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("estimate columns must be unit norm")
-
-    def to_dict(self):
-        return {
-            "columns": self.columns.tolist(),
-            "eigengap": self.eigengap,
-            "order_used": self.order_used,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            np.array(payload["columns"]),
-            float(payload["eigengap"]),
-            int(payload["order_used"]),
-        )
 
 
 def estimate_cumulant_pair(sample_source, d, total, chunk=1 << 17):

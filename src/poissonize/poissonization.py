@@ -20,7 +20,6 @@ __all__ = [
     "SubroutineFailure",
     "MixtureSource",
     "poisson_split",
-    "lift",
     "IcaModel",
     "build_lifted_model",
     "sample_approx_ica_batch",
@@ -68,14 +67,6 @@ def poisson_split(lam, probs, rng, count):
         mass_left -= probs[i]
     out[:, -1] = remaining
     return out
-
-
-def lift(x):
-    """Append a constant 1 coordinate: mu -> (mu, 1)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("lift expects a single vector")
-    return np.concatenate([x, [1.0]])
 
 
 @dataclass
@@ -178,7 +169,7 @@ def sample_approx_ica_batch(source, lam, tau, rng, count):
     """Poissonized draws in R^(n+1), shape (count, n + 1).
 
     Each row draws R ~ Poisson(lambda) and is
-    sum_{j<=R} lift(Z_j) + eta' with eta' ~ N(0, (tau - R) Sigma'); its last
+    sum_{j<=R} (Z_j, 1) + eta' with eta' ~ N(0, (tau - R) Sigma'); its last
     coordinate is exactly R, and any R > tau raises SubroutineFailure.  The
     first n coordinates are the basic ICA observation X = A S + eta(tau): the
     sum of R mixture draws already carries noise eta(R), and the top-up term

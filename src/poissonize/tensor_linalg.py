@@ -1,10 +1,15 @@
 """Flattened tensor views, Khatri-Rao products, and small matrix helpers.
 
 Every symmetric tensor of order ``ell`` over R^n is stored flattened in a
-vector of length ``n**ell``.  The flattening convention (first index slowest,
-1-based in the public API) is owned by :class:`FlatIndexMap`; every other
-routine that reshapes between vector and matrix views of a tensor is
-consistent with it because the convention coincides with row-major order.
+vector of length ``n**ell``.  The one flattening convention is numpy's
+0-based row-major order: the multi-index ``(i_1, ..., i_ell)`` with entries
+in ``{0, ..., n-1}`` sits at position
+
+    sum_j n**(ell - j) * i_j  ==  np.ravel_multi_index(i, (n,) * ell),
+
+so the first index varies slowest, and ``data.reshape((n,) * ell)[i]`` reads
+the entry back.  Every routine that reshapes between vector and matrix views
+of a tensor relies on this order.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "FlatIndexMap",
-    "flatten_index",
     "khatri_rao",
     "khatri_rao_power",
     "multilinear_kr_square",
@@ -23,84 +26,12 @@ __all__ = [
 ]
 
 
-def flatten_index(indices, n):
-    """Map a 1-based multi-index to its 1-based flat position.
-
-    The tuple ``(i_1, ..., i_ell)`` with entries in ``{1, ..., n}`` maps to
-
-        1 + sum_j n**(ell - j) * (i_j - 1),
-
-    i.e. row-major order with the first index varying slowest.
-
-    Parameters
-    ----------
-    indices : sequence of int
-        Multi-index with 1-based entries.
-    n : int
-        Dimension of each index.
-
-    Returns
-    -------
-    int
-        Flat position in ``{1, ..., n**ell}``.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if len(indices) == 0:
-        raise ValueError("empty multi-index")
-    pos = 0
-    for i in indices:
-        i = int(i)
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range 1..{n}")
-        pos = pos * n + (i - 1)
-    return pos + 1
-
-
-class FlatIndexMap:
-    """Bijection between order-``ell`` multi-indices over ``{1..n}`` and
-    flat positions ``{1..n**ell}``.
-
-    This class is the single owner of the flattening convention; cumulant
-    tensors, Khatri-Rao columns, and their matrix views all agree with it
-    because the convention is plain row-major order.
-    """
-
-    def __init__(self, dimension, order):
-        dimension = int(dimension)
-        order = int(order)
-        if dimension < 1 or order < 1:
-            raise ValueError("dimension and order must be positive")
-        self.dimension = dimension
-        self.order = order
-        self.size = dimension**order
-
-    def to_flat(self, indices):
-        """1-based multi-index -> 1-based flat position."""
-        if len(indices) != self.order:
-            raise ValueError(f"expected {self.order} indices, got {len(indices)}")
-        return flatten_index(indices, self.dimension)
-
-    def from_flat(self, position):
-        """1-based flat position -> 1-based multi-index tuple."""
-        position = int(position)
-        if not 1 <= position <= self.size:
-            raise ValueError(f"position {position} out of range 1..{self.size}")
-        rest = position - 1
-        out = []
-        for _ in range(self.order):
-            rest, r = divmod(rest, self.dimension)
-            out.append(r + 1)
-        return tuple(reversed(out))
-
-
 def khatri_rao(a, b):
     """Column-wise Khatri-Rao product.
 
     Column ``k`` of the result is the flattened outer product of column ``k``
     of ``a`` with column ``k`` of ``b`` (equivalently their Kronecker
-    product), flattened in the :class:`FlatIndexMap` convention.
+    product), flattened in row-major order.
 
     Parameters
     ----------

@@ -175,6 +175,21 @@ class TestConfigErrors:
         ("hardness", {"mode": "pigeonhole", "k": [5]}, "list"),
         ("ica-bench", {"trials": None}, "NoneType"),
         ("reduction-check", {"lam": "five"}, "'five'"),
+        ("learn", {**TOY_LEARN, "d": 5}, "d must be one of (4, 6)"),
+        ("learn", {**TOY_LEARN, "samples": 0}, "samples must be at least 1"),
+        ("learn", {**TOY_LEARN, "chunk": 0}, "chunk must be at least 1"),
+        ("learn", {"generator": {"n": "six"}}, "'six'"),
+        ("learn", {**TOY_LEARN, "gmm": {"weights": [0.5, 0.5],
+                                        "covariance": [[0.0, 0.0], [0.0, 0.0]]}},
+         "gmm block lacks means"),
+        ("learn", {**TOY_LEARN, "with_weights": "false"}, "with_weights must be true"),
+        ("learn", {**TOY_LEARN, "trials": 0}, "trials must be at least 1"),
+        ("smoothed", {"trials": 0}, "trials must be at least 1"),
+        ("hardness", {"mode": "pigeonhole", "instances": 0}, "instances must be at least 1"),
+        ("hardness", {"h_values": []}, "h_values must not be empty"),
+        ("ica-bench", {"trials": 0}, "trials must be at least 1"),
+        ("ica-bench", {"d": 5}, "d must be one of (4, 6)"),
+        ("reduction-check", {"samples": 0}, "samples must be at least 1"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -186,6 +201,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("poissonize: error: bad config value")
         assert fragment in err[0]
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", ["learn", "smoothed", "hardness",
+                                         "ica-bench", "reduction-check"])
+    def test_zero_trials_flag_is_usage_error(self, tmp_path, command):
+        """``--trials 0`` stops every command, in a child process, with one
+        usage-error line and no traceback."""
+        out = tmp_path / "out"
+        result = run_module(command, "--trials", "0", "--out", str(out))
+        assert result.returncode == 1
+        err = result.stderr.splitlines()
+        assert err == ["poissonize: error: bad config value: trials must be at least 1, got 0"]
         assert not (out / "records.csv").exists()
 
     def test_unknown_command(self, capsys):

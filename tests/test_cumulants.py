@@ -19,7 +19,6 @@ from poissonize import (
     analytic_ica_cumulant,
     assemble_flat_cumulant,
     empirical_cumulant,
-    empirical_cumulant_flat,
     joint_cumulant,
     poisson_moment,
     raw_moments_to_cumulants,
@@ -39,6 +38,15 @@ def brute_force_tensor(mixing, source_cumulants, ell):
             block = np.multiply.outer(block, col)
         out += block
     return out.ravel()
+
+
+def flat_cumulant(samples, ell):
+    """Flattened order-``ell`` cumulant of vector samples through the
+    streamed path: one accumulator shifted by the sample mean, then
+    assembly."""
+    acc = MomentAccumulator(samples.shape[1], ell, shift=samples.mean(axis=0))
+    acc.update(samples)
+    return assemble_flat_cumulant(acc, ell)
 
 
 class TestRawMomentsToCumulants:
@@ -213,12 +221,6 @@ class TestJointCumulant:
 
 
 class TestFlatCumulant:
-    def test_entry_uses_one_based_indices(self):
-        fc = FlatCumulant(2, 2, np.arange(4.0))
-        assert fc.entry((1, 1)) == 0.0
-        assert fc.entry((1, 2)) == 1.0
-        assert fc.entry((2, 1)) == 2.0
-
     def test_matrix_view_shape(self):
         fc = FlatCumulant(4, 3, np.zeros(81))
         assert fc.as_matrix().shape == (9, 9)
@@ -226,18 +228,6 @@ class TestFlatCumulant:
     def test_matrix_view_rejects_odd_order(self):
         with pytest.raises(ValueError):
             FlatCumulant(3, 2, np.zeros(8)).as_matrix()
-
-    def test_json_roundtrip(self):
-        fc = FlatCumulant(3, 2, np.arange(8.0))
-        back = FlatCumulant.from_json(fc.to_json())
-        assert back.order == 3 and back.dimension == 2
-        np.testing.assert_array_equal(back.data, fc.data)
-
-    def test_unknown_convention_rejected(self):
-        payload = FlatCumulant(2, 2, np.zeros(4)).to_dict()
-        payload["convention"] = "column-major"
-        with pytest.raises(ValueError):
-            FlatCumulant.from_dict(payload)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -248,7 +238,7 @@ class TestEmpiricalCumulantFlat:
     def test_independent_gaussian_coordinates_vanish(self):
         rng = SeededRng(301)
         data = rng.standard_normal((1_000_000, 2))
-        fc = empirical_cumulant_flat(data, 4)
+        fc = flat_cumulant(data, 4)
         assert np.abs(fc.data).max() < 0.05
 
     def test_single_poisson_direction(self):
@@ -256,8 +246,8 @@ class TestEmpiricalCumulantFlat:
         s = rng.poisson(2.0, size=400_000).astype(float)
         data = np.zeros((s.size, 2))
         data[:, 0] = s
-        fc = empirical_cumulant_flat(data, 4)
-        assert fc.entry((1, 1, 1, 1)) == pytest.approx(2.0, rel=0.1)
+        fc = flat_cumulant(data, 4)
+        assert fc.data[0] == pytest.approx(2.0, rel=0.1)
         off_diag = fc.data.copy()
         off_diag[0] = 0.0
         assert np.abs(off_diag).max() < 0.05
@@ -268,39 +258,52 @@ class TestEmpiricalCumulantFlat:
         rates = np.array([1.0, 2.0])
         s = np.column_stack([rng.poisson(r, size=1_000_000) for r in rates])
         data = s.astype(float) @ mixing.T
-        fc = empirical_cumulant_flat(data, 4)
+        fc = flat_cumulant(data, 4)
         want = analytic_ica_cumulant(mixing, rates, 4)
         assert np.abs(fc.data - want.data).max() < 0.1
 
     def test_symmetry_under_index_permutation(self):
         rng = SeededRng(307)
         data = rng.standard_normal((5000, 3)) ** 3
-        fc = empirical_cumulant_flat(data, 4)
-        for idx in [(1, 2, 3, 3), (2, 1, 1, 3), (3, 3, 2, 1)]:
-            vals = {fc.entry(p) for p in itertools.permutations(idx)}
+        fc = flat_cumulant(data, 4)
+        tensor = fc.data.reshape((3,) * 4)
+        for idx in [(0, 1, 2, 2), (1, 0, 0, 2), (2, 2, 1, 0)]:
+            vals = {tensor[p] for p in itertools.permutations(idx)}
             assert max(vals) - min(vals) < 1e-15
 
     def test_odd_order_rejected(self):
+        """An odd order has no square matrix view."""
         with pytest.raises(ValueError):
-            empirical_cumulant_flat(np.zeros((10, 2)), 3)
+            flat_cumulant(np.zeros((10, 2)), 3).as_matrix()
 
     def test_order_eight_rejected(self):
+        """Order 8 is above what an order-7 accumulator holds."""
+        acc = MomentAccumulator(2, 7)
+        acc.update(np.zeros((10, 2)))
         with pytest.raises(ValueError):
-            empirical_cumulant_flat(np.zeros((10, 2)), 8)
+            assemble_flat_cumulant(acc, 8)
 
 
 class TestAssembleFlatCumulant:
     def test_coordinate_subset(self):
-        """Restricting to a coordinate subset equals estimating on the
-        sliced samples directly."""
+        """Restricting to a coordinate subset, also in decreasing order,
+        equals estimating on the sliced samples directly, and the result is
+        exactly symmetric."""
         rng = SeededRng(309)
         data = rng.standard_normal((20_000, 3))
         data[:, 2] = rng.poisson(1.0, size=20_000)
         acc = MomentAccumulator(3, 4, shift=data.mean(axis=0))
         acc.update(data)
         sub = assemble_flat_cumulant(acc, 4, coordinates=[0, 2])
-        direct = empirical_cumulant_flat(data[:, [0, 2]], 4)
+        direct = flat_cumulant(data[:, [0, 2]], 4)
         np.testing.assert_allclose(sub.data, direct.data, atol=1e-10)
+        for ell in (3, 4):
+            sub = assemble_flat_cumulant(acc, ell, coordinates=[2, 0])
+            direct = flat_cumulant(data[:, [2, 0]], ell)
+            np.testing.assert_allclose(sub.data, direct.data, atol=1e-10)
+            tensor = sub.data.reshape((2,) * ell)
+            for axes in itertools.permutations(range(ell)):
+                assert np.array_equal(tensor, tensor.transpose(axes))
 
     def test_order_one_restores_shift(self):
         data = np.array([[1.0, 10.0], [3.0, 30.0]])
@@ -313,10 +316,10 @@ class TestAssembleFlatCumulant:
 class TestAnalyticIcaCumulant:
     def test_identity_mixing_third_order(self):
         fc = analytic_ica_cumulant(np.eye(2), np.array([5.0, 7.0]), 3)
-        nonzero = {i + 1 for i in np.nonzero(fc.data)[0]}
-        assert nonzero == {1, 8}  # positions of (1,1,1) and (2,2,2)
-        assert fc.entry((1, 1, 1)) == 5.0
-        assert fc.entry((2, 2, 2)) == 7.0
+        assert set(np.flatnonzero(fc.data)) == {0, 7}  # (0,0,0) and (1,1,1)
+        tensor = fc.data.reshape(2, 2, 2)
+        assert tensor[0, 0, 0] == 5.0
+        assert tensor[1, 1, 1] == 7.0
 
     def test_matches_brute_force_small(self):
         rng = SeededRng(311)

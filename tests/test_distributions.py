@@ -19,17 +19,14 @@ from poissonize import (
     SeededRng,
     certified_tail_threshold,
     empirical_poisson_tv,
-    gaussian_abs_moment,
     gmm_pdf,
-    poisson_cumulant,
     poisson_moment,
     poisson_pmf,
     poisson_tail_threshold,
-    read_samples,
+    raw_moments_to_cumulants,
     sample_gmm,
     stirling2,
     truncated_poisson_tv,
-    write_samples,
 )
 
 
@@ -152,13 +149,17 @@ class TestSampleGmm:
 
 
 class TestPoissonCumulant:
+    """Every cumulant of a Poisson rate equals the rate: the Stirling-form
+    moments converted by raw_moments_to_cumulants."""
+
     @pytest.mark.parametrize("ell,lam", [(1, 2.5), (4, 2.5), (6, 1.0)])
     def test_every_order_equals_rate(self, ell, lam):
-        assert poisson_cumulant(ell, lam) == lam
+        moments = [poisson_moment(k, lam) for k in range(1, ell + 1)]
+        assert raw_moments_to_cumulants(moments)[-1] == pytest.approx(lam, rel=1e-12)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
-            poisson_cumulant(0, 1.0)
+            poisson_moment(0, 1.0)
 
 
 class TestPoissonMoment:
@@ -202,33 +203,6 @@ class TestPoissonMoment:
             got = poisson_moment(ell, 2.5)
             want = scipy.stats.poisson.moment(ell, 2.5)
             assert got == pytest.approx(want, rel=1e-9)
-
-
-class TestGaussianAbsMoment:
-    def test_variance(self):
-        assert gaussian_abs_moment(2, 1.7) == pytest.approx(1.7**2)
-
-    def test_fourth_moment(self):
-        assert gaussian_abs_moment(4, 1.0) == pytest.approx(3.0)
-
-    def test_first_absolute_moment(self):
-        assert gaussian_abs_moment(1, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi))
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_even_orders_are_double_factorials(self, k):
-        sigma = 0.8
-        dfact = math.prod(range(2 * k - 1, 0, -2))  # (2k-1)!!
-        assert gaussian_abs_moment(2 * k, sigma) == pytest.approx(
-            dfact * sigma ** (2 * k)
-        )
-
-    def test_matches_quadrature(self):
-        sigma = 1.3
-        for ell in (1, 2, 3, 5):
-            xs = np.linspace(-12 * sigma, 12 * sigma, 400_001)
-            pdf = np.exp(-0.5 * (xs / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi))
-            want = np.trapezoid(np.abs(xs) ** ell * pdf, xs)
-            assert gaussian_abs_moment(ell, sigma) == pytest.approx(want, rel=1e-6)
 
 
 class TestPoissonPmf:
@@ -335,33 +309,3 @@ class TestCertifiedTailThreshold:
     def test_monotone_in_delta(self):
         taus = [certified_tail_threshold(d, 6.0) for d in (1e-2, 1e-5, 1e-9)]
         assert taus[0] <= taus[1] <= taus[2]
-
-
-class TestSampleDumps:
-    def test_roundtrip(self, tmp_path):
-        data = SeededRng(3).standard_normal((100, 4))
-        path = tmp_path / "dump.bin"
-        write_samples(path, data)
-        np.testing.assert_array_equal(read_samples(path), data)
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "dump.bin"
-        write_samples(path, np.zeros((2, 3)))
-        raw = path.read_bytes()
-        assert raw[:4] == b"GMMS"
-        assert int.from_bytes(raw[4:8], "little") == 3
-        assert int.from_bytes(raw[8:12], "little") == 2
-        assert len(raw) == 16 + 2 * 3 * 8
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "dump.bin"
-        path.write_bytes(b"XXXX" + bytes(12))
-        with pytest.raises(ValueError):
-            read_samples(path)
-
-    def test_truncated_data_rejected(self, tmp_path):
-        path = tmp_path / "dump.bin"
-        write_samples(path, np.zeros((4, 2)))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            read_samples(path)

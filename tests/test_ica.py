@@ -253,10 +253,3 @@ class TestIcaEstimate:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
             IcaEstimate(columns=2.0 * np.eye(2), eigengap=0.1, order_used=4)
-
-    def test_json_roundtrip(self):
-        est = IcaEstimate(columns=np.eye(3), eigengap=0.25, order_used=4)
-        back = IcaEstimate.from_dict(est.to_dict())
-        np.testing.assert_array_equal(back.columns, est.columns)
-        assert back.eigengap == 0.25
-        assert back.order_used == 4

@@ -22,7 +22,6 @@ from poissonize import (
     certified_tail_threshold,
     compute_reduction_params,
     empirical_poisson_tv,
-    lift,
     poisson_split,
     poisson_tail_threshold,
     sample_approx_ica_batch,
@@ -41,23 +40,33 @@ def one_draw(source, lam, tau, rng):
     return sample_approx_ica_batch(source, lam, tau, rng, 1)[0]
 
 
+def lifted_means(means):
+    """The lifted means (mu_i, 1) as build_lifted_model forms them: its
+    mixing columns times their scales."""
+    means = np.asarray(means, dtype=float)
+    m = means.shape[1]
+    gmm = GmmParams(means, np.full(m, 1.0 / m), np.zeros((means.shape[0],) * 2))
+    model = build_lifted_model(gmm, 1.0, 10)
+    return model.mixing * model.scales
+
+
 class TestLift:
     def test_zero_vector(self):
-        np.testing.assert_array_equal(lift(np.zeros(3)), [0.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(
+            lifted_means(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))[:, 0],
+            [0.0, 0.0, 0.0, 1.0],
+        )
 
     def test_norm_relation(self):
         x = np.array([3.0, 4.0])
-        assert np.linalg.norm(lift(x)) ** 2 == pytest.approx(
+        lifted = lifted_means(np.column_stack([x, -x]))
+        assert np.linalg.norm(lifted[:, 0]) ** 2 == pytest.approx(
             np.linalg.norm(x) ** 2 + 1.0
         )
 
     def test_injective_on_distinct_inputs(self):
-        a, b = lift(np.array([1.0, 2.0])), lift(np.array([1.0, 2.5]))
-        assert not np.array_equal(a, b)
-
-    def test_matrix_input_rejected(self):
-        with pytest.raises(ValueError):
-            lift(np.zeros((2, 2)))
+        lifted = lifted_means(np.array([[1.0, 1.0], [2.0, 2.5]]))
+        assert not np.array_equal(lifted[:, 0], lifted[:, 1])
 
 
 class TestPoissonSplit:

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonize import (
-    FlatIndexMap,
-    flatten_index,
+    MomentAccumulator,
+    assemble_flat_cumulant,
     khatri_rao,
     khatri_rao_power,
     multilinear_kr_square,
@@ -24,75 +24,69 @@ from poissonize import (
 )
 
 
+def one_hot(n, i):
+    """Basis vector e_i of R^n as an (n, 1) matrix."""
+    out = np.zeros((n, 1))
+    out[i, 0] = 1.0
+    return out
+
+
+def flat_position(indices, n):
+    """Position of the 0-based multi-index in the Khatri-Rao flattening of
+    the basis vectors e_{i_1}, ..., e_{i_ell} of R^n."""
+    flat = one_hot(n, indices[0])
+    for i in indices[1:]:
+        flat = khatri_rao(flat, one_hot(n, i))
+    (position,) = np.flatnonzero(flat[:, 0])
+    return int(position)
+
+
 class TestFlattenIndex:
+    """The one flattening convention, numpy's 0-based row-major order, as
+    the package's flat layouts realize it."""
+
     def test_all_ones(self):
-        assert flatten_index((1, 1), 3) == 1
+        assert flat_position((0, 0), 3) == 0
 
     def test_by_hand(self):
-        # 1 + 3^1*(2-1) + 3^0*(3-1) = 6
-        assert flatten_index((2, 3), 3) == 6
+        # 3^1 * 1 + 3^0 * 2 = 5
+        assert flat_position((1, 2), 3) == 5
 
     def test_maximal_tuple_hits_last_position(self):
-        assert flatten_index((3, 3, 3), 3) == 27
+        assert flat_position((2, 2, 2), 3) == 26
+        np.testing.assert_array_equal(
+            np.flatnonzero(khatri_rao_power(one_hot(3, 2), 3)), [26]
+        )
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            flatten_index((0, 1), 3)
-        with pytest.raises(ValueError):
-            flatten_index((1, 4), 3)
+        acc = MomentAccumulator(3, 2)
+        acc.update(np.eye(3))
+        for bad in ([-1, 0], [0, 3]):
+            with pytest.raises(ValueError):
+                assemble_flat_cumulant(acc, 2, coordinates=bad)
 
     def test_empty_tuple_rejected(self):
+        acc = MomentAccumulator(3, 2)
+        acc.update(np.eye(3))
         with pytest.raises(ValueError):
-            flatten_index((), 3)
+            assemble_flat_cumulant(acc, 0)
+        with pytest.raises(ValueError):
+            assemble_flat_cumulant(acc, 2, coordinates=[])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_bijection(self, n, ell):
-        """Enumerating [n]^ell hits every position in [1, n^ell] once."""
-        positions = [
-            flatten_index(tup, n)
-            for tup in itertools.product(range(1, n + 1), repeat=ell)
-        ]
-        assert sorted(positions) == list(range(1, n**ell + 1))
+        """Enumerating [n]^ell hits every position in [0, n^ell) once, at
+        np.ravel_multi_index."""
+        tuples = list(itertools.product(range(n), repeat=ell))
+        positions = [flat_position(tup, n) for tup in tuples]
+        assert positions == [np.ravel_multi_index(tup, (n,) * ell) for tup in tuples]
+        assert sorted(positions) == list(range(n**ell))
 
     def test_row_major_order(self):
-        # first index slowest: (1,2) comes right after (1,1)
-        assert flatten_index((1, 2), 3) == 2
-        assert flatten_index((2, 1), 3) == 4
-
-
-class TestFlatIndexMap:
-    def test_roundtrip_small(self):
-        fmap = FlatIndexMap(3, 3)
-        for tup in itertools.product(range(1, 4), repeat=3):
-            assert fmap.from_flat(fmap.to_flat(tup)) == tup
-
-    def test_agrees_with_flatten_index(self):
-        fmap = FlatIndexMap(4, 2)
-        for tup in itertools.product(range(1, 5), repeat=2):
-            assert fmap.to_flat(tup) == flatten_index(tup, 4)
-
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            FlatIndexMap(3, 2).to_flat((1, 2, 3))
-
-    def test_position_out_of_range(self):
-        fmap = FlatIndexMap(2, 2)
-        with pytest.raises(ValueError):
-            fmap.from_flat(0)
-        with pytest.raises(ValueError):
-            fmap.from_flat(5)
-
-    @given(
-        n=st.integers(min_value=1, max_value=5),
-        ell=st.integers(min_value=1, max_value=4),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_property(self, n, ell, data):
-        fmap = FlatIndexMap(n, ell)
-        pos = data.draw(st.integers(min_value=1, max_value=fmap.size))
-        assert fmap.to_flat(fmap.from_flat(pos)) == pos
+        # first index slowest: (0, 1) comes right after (0, 0)
+        assert flat_position((0, 1), 3) == 1
+        assert flat_position((1, 0), 3) == 3
 
 
 class TestKhatriRao:
@@ -120,20 +114,17 @@ class TestKhatriRao:
             khatri_rao(np.eye(2), np.eye(3))
 
     def test_matches_flattened_outer_product(self):
-        """Column k equals the outer product a_k b_k^T read out through
-        flatten_index."""
+        """Column k equals the outer product a_k b_k^T read out at
+        np.ravel_multi_index."""
         rng = np.random.default_rng(11)
         a = rng.standard_normal((3, 2))
         b = rng.standard_normal((4, 2))
         out = khatri_rao(a, b)
         for k in range(2):
-            for i in range(1, 4):
-                for j in range(1, 5):
-                    pos = flatten_index((i,), 3)  # row block of a
-                    flat = (pos - 1) * 4 + flatten_index((j,), 4) - 1
-                    assert out[flat, k] == pytest.approx(
-                        a[i - 1, k] * b[j - 1, k], abs=1e-15
-                    )
+            for i in range(3):
+                for j in range(4):
+                    flat = np.ravel_multi_index((i, j), (3, 4))
+                    assert out[flat, k] == pytest.approx(a[i, k] * b[j, k], abs=1e-15)
 
 
 class TestKhatriRaoPower:
