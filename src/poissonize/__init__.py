@@ -15,7 +15,6 @@ from .cumulants import (
     analytic_ica_cumulant,
     assemble_flat_cumulant,
     empirical_cumulant,
-    joint_cumulant,
     raw_moments_to_cumulants,
 )
 from .distributions import (
@@ -63,7 +62,6 @@ from .lowdim_hardness import (
     interpolate,
     kernel,
     l1_distance,
-    pair_from_json,
     pair_to_json,
     pigeonhole_pair,
     random_points,
@@ -83,7 +81,6 @@ from .poissonization import (
 from .smoothed_analysis import (
     FAMILIES,
     SmoothedTrial,
-    anticoncentration_estimate,
     base_matrix,
     run_smoothed,
     rv_check,

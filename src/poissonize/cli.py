@@ -172,7 +172,10 @@ def _cmd_learn(config, out_dir):
         trials = config.get("trials", 1)
         d = _cumulant_order(config.get("d", 4))
         delta = float(config.get("delta", 0.1))
+        _require(0.0 < delta < 1.0,
+                 f"bad config value: delta must lie in (0, 1), got {delta}")
         eps = float(config.get("eps", 0.25))
+        _require(eps > 0.0, f"bad config value: eps must be positive, got {eps}")
         samples = _count(config.get("samples", 1_000_000), "samples")
         with_weights = config.get("with_weights", True)
         if not isinstance(with_weights, bool):
@@ -190,6 +193,7 @@ def _cmd_learn(config, out_dir):
                 key: type(_GENERATOR_DEFAULTS[key])(value)
                 for key, value in config["generator"].items()
             })
+            generator["n"] = _count(generator["n"], "generator n")
 
     fixed_gmm = None
     if "gmm" in config:
@@ -302,6 +306,7 @@ def _cmd_smoothed(config, out_dir):
         unknown = sorted(set(families) - set(FAMILIES))
         _require(not unknown, f"unknown families: {', '.join(unknown)}")
         n = int(config.get("n", 10))
+        _require(n >= 3, f"bad config value: n must be at least 3, got {n}")
         sigma = float(config.get("sigma", 0.1))
         trials = config.get("trials", 50)
         seed = int(config.get("seed", 0))
@@ -339,7 +344,7 @@ def _cmd_hardness(config, out_dir):
     mode = config.get("mode", "decay")
     with _config_values():
         seed = int(config.get("seed", 0))
-        l1_samples = int(config.get("l1_samples", 200_000))
+        l1_samples = _count(config.get("l1_samples", 200_000), "l1_samples")
     root = SeededRng(seed)
     status = 0
     if mode == "decay":
@@ -369,6 +374,7 @@ def _cmd_hardness(config, out_dir):
     elif mode == "pigeonhole":
         with _config_values():
             k = int(config.get("k", 5))
+            _require(k >= 2, f"bad config value: k must be at least 2, got {k}")
             dimension = int(config.get("dimension", 1))
             instances = _count(config.get("instances", config.get("trials", 10)),
                                "instances")
@@ -501,7 +507,9 @@ def _cmd_reduction_check(config, out_dir):
     _check_keys(config, allowed)
     with _config_values():
         lam = float(config.get("lam", 5.0))
+        _require(lam > 0.0, f"bad config value: lam must be positive, got {lam}")
         probs = [float(p) for p in config.get("probs", [0.2, 0.3, 0.5])]
+        _require(probs, "bad config value: probs must not be empty")
         samples = _count(config.get("samples", 100_000), "samples")
         delta = float(config.get("delta", 1e-6))
         marginal_tol = float(config.get("marginal_tol", 0.02))

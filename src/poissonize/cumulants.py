@@ -2,10 +2,12 @@
 
 The estimators run in one streaming pass: mixed raw moments are accumulated
 for every sorted index multiset up to the requested order (with compensated
-summation across chunks), then joint cumulants are assembled through the
-set-partition formula and read back at every index permutation, which makes
-the flattened output symmetric by construction.  Tensors are flattened in
-row-major order (see :mod:`poissonize.tensor_linalg`).
+summation across chunks), then joint cumulants are assembled by the
+moment-to-cumulant recursion over sub-multisets (P. J. Smith, Am. Statist.
+49(2), 1995; McCullagh, Tensor Methods in Statistics, 1987, ch. 2-3) and
+read back at every index permutation, which makes the flattened output
+symmetric by construction.  Tensors are flattened in row-major order (see
+:mod:`poissonize.tensor_linalg`).
 
 Chunks are shifted by a fixed vector (usually the first chunk's mean) before
 accumulation.  Cumulants of order >= 2 are invariant under any constant
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -29,8 +30,6 @@ __all__ = [
     "raw_moments_to_cumulants",
     "empirical_cumulant",
     "MomentAccumulator",
-    "set_partitions",
-    "joint_cumulant",
     "assemble_flat_cumulant",
     "analytic_ica_cumulant",
 ]
@@ -211,61 +210,21 @@ class MomentAccumulator:
         return self.sums[self.position[key]] / self.count
 
 
-def set_partitions(k):
-    """All set partitions of {0..k-1} as tuples of index-tuple blocks."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("need at least one element")
-    if k > _MAX_JOINT_ORDER:
-        raise ValueError(f"order above supported cap {_MAX_JOINT_ORDER}")
-    return _set_partitions(k)
-
-
-@lru_cache(maxsize=None)
-def _set_partitions(k):
-    def build(elements):
-        if not elements:
-            yield ()
-            return
-        head, rest = elements[0], elements[1:]
-        for part in build(rest):
-            yield ((head,),) + part
-            for i in range(len(part)):
-                yield part[:i] + ((head,) + part[i],) + part[i + 1 :]
-
-    return tuple(build(tuple(range(k))))
-
-
-def joint_cumulant(moment_of, variables):
-    """Joint cumulant of the listed variables from a mixed-moment oracle.
-
-    ``moment_of`` maps a tuple of 0-based variable indices (a multiset) to
-    the raw moment of their product.  Standard set-partition formula:
-    sum over partitions pi of (-1)^{|pi|-1} (|pi|-1)! prod_blocks moment.
-    """
-    variables = tuple(variables)
-    total = 0.0
-    for part in set_partitions(len(variables)):
-        term = _PARTITION_SIGN[len(part)]
-        for block in part:
-            term *= moment_of(tuple(variables[p] for p in block))
-        total += term
-    return total
-
-
-_PARTITION_SIGN = {
-    b: (-1.0) ** (b - 1) * math.factorial(b - 1) for b in range(1, _MAX_JOINT_ORDER + 1)
-}
-
-
 def assemble_flat_cumulant(acc, ell, coordinates=None):
     """Flattened order-``ell`` cumulant tensor from accumulated moments.
 
-    Each sorted index multiset is evaluated once through the set-partition
-    formula and every permutation of it reads that one value, so the output
-    is exactly symmetric.  ``coordinates`` restricts the tensor to a
-    subset of the accumulator's coordinates (in the given order); by default
-    all of them are used.
+    Each sorted index multiset S is evaluated once through the
+    moment-to-cumulant recursion
+
+        kappa(S) = m(S) - sum_B kappa(B) m(S - B),
+
+    where B runs over the proper sub-multisets of S that hold S's first
+    position, enumerated as subsets of positions so that repeated indices
+    count with their multiplicity (2**(len(S) - 1) - 1 terms).  Lower-order
+    cumulants are memoized for the duration of the call.  Every permutation
+    of S reads that one value, so the output is exactly symmetric.
+    ``coordinates`` restricts the tensor to a subset of the accumulator's
+    coordinates (in the given order); by default all of them are used.
     """
     ell = int(ell)
     if not 1 <= ell <= acc.order:
@@ -275,11 +234,27 @@ def assemble_flat_cumulant(acc, ell, coordinates=None):
     coordinates = [int(c) for c in coordinates]
     if any(not 0 <= c < acc.dim for c in coordinates):
         raise ValueError("coordinate out of range")
+
+    # keys are sorted accumulator coordinates, so every entry and sub-multiset
+    # naming one multiset shares a slot, also when ``coordinates`` decreases
+    memo = {}
+
+    def cumulant(key):
+        if key not in memo:
+            head, tail = key[0], key[1:]
+            value = acc.moment(key)
+            for mask in range(2 ** len(tail) - 1):
+                block = (head,) + tuple(t for j, t in enumerate(tail) if mask >> j & 1)
+                rest = tuple(t for j, t in enumerate(tail) if not mask >> j & 1)
+                value -= cumulant(block) * acc.moment(rest)
+            memo[key] = value
+        return memo[key]
+
     n = len(coordinates)
     shape = (n,) * ell
     by_multiset = np.zeros(shape)
     for key in combinations_with_replacement(range(n), ell):
-        by_multiset[key] = joint_cumulant(acc.moment, tuple(coordinates[k] for k in key))
+        by_multiset[key] = cumulant(tuple(sorted(coordinates[k] for k in key)))
     # every multi-index, in row-major order, sorted into its multiset
     sorted_index = np.sort(np.indices(shape).reshape(ell, -1), axis=0)
     data = by_multiset[tuple(sorted_index)]

@@ -49,7 +49,6 @@ __all__ = [
     "equispaced_interleaved",
     "random_points",
     "pair_to_json",
-    "pair_from_json",
 ]
 
 _CUBE_TOL = 1e-12
@@ -503,21 +502,3 @@ def pair_to_json(pair):
         "kernel_condition": float(pair.kernel_condition),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def pair_from_json(text):
-    payload = json.loads(text)
-    centers_p = np.asarray(payload["centers_p"], dtype=float)
-    centers_q = np.asarray(payload["centers_q"], dtype=float)
-    n = centers_p.shape[1]
-    eye = np.eye(n)
-    p = GmmParams(centers_p.T, np.asarray(payload["weights_p"], dtype=float), eye)
-    q = GmmParams(centers_q.T, np.asarray(payload["weights_q"], dtype=float), eye)
-    return MixturePair(
-        p=p,
-        q=q,
-        l1_distance=float(payload["l1_distance"]),
-        min_center_distance=_cross_min_distance(centers_p, centers_q),
-        fill=float(payload["fill"]),
-        kernel_condition=float(payload["kernel_condition"]),
-    )

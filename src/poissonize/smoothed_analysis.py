@@ -6,14 +6,12 @@ square C(n,2) x C(n,2) matrix, against the reference level sigma^2 / n^7.
 The full Khatri-Rao square is recorded alongside; its least singular value
 dominates the multilinear one, so every passed trial certifies both.
 
-Two supporting checks live here as well: the leave-one-out lower bound on
-sigma_min (distances to the spans of the remaining columns) and a Monte
-Carlo anticoncentration estimate for the multilinear distance polynomial.
+One supporting check lives here as well: the leave-one-out lower bound on
+sigma_min (distances to the spans of the remaining columns).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +26,6 @@ __all__ = [
     "smoothed_trial",
     "run_smoothed",
     "rv_check",
-    "anticoncentration_estimate",
 ]
 
 FAMILIES = ("zero", "gaussian", "rank1")
@@ -156,63 +153,4 @@ def rv_check(a):
         "rhs": rhs,
         "holds": bool(lhs <= rhs + _RV_SLACK),
         "distances": distances,
-    }
-
-
-def anticoncentration_estimate(degree, eps, trials, rng, n=8, t=0.0, c_policy=1.0):
-    """Monte Carlo small-ball probability of the distance polynomial.
-
-    The polynomial is P(N) = sum over degree-subsets S of u_S prod_{i in S}
-    (M_i + N_i) for a random unit coefficient vector u and a random Gaussian
-    base column M, i.e. the quantity controlling the distance of a perturbed
-    Khatri-Rao column to the span of the others.  P is normalized to zero
-    mean and unit variance; the variance is exact, via the orthogonality of
-    distinct multilinear monomials in iid standard Gaussians.
-
-    Returns the fraction of trials with |P - t| <= eps next to the reference
-    bound c_policy * degree * eps^(1/degree).
-    """
-    degree = int(degree)
-    n = int(n)
-    if degree < 1 or n <= degree:
-        raise ValueError("need 1 <= degree < n")
-    eps = float(eps)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError("need at least one trial")
-
-    subsets = list(itertools.combinations(range(n), degree))
-    u = rng.unit_vector(len(subsets))
-    base = rng.standard_normal(n)
-
-    coeffs = {}
-    for weight, subset in zip(u, subsets):
-        for r in range(degree + 1):
-            for kept in itertools.combinations(subset, r):
-                kept_set = set(kept)
-                rest = [i for i in subset if i not in kept_set]
-                coeffs[kept] = coeffs.get(kept, 0.0) + weight * float(
-                    np.prod(base[rest])
-                )
-    mean = coeffs.pop((), 0.0)
-    variance = math.fsum(c * c for c in coeffs.values())
-
-    draws = rng.standard_normal((trials, n))
-    values = np.zeros(trials)
-    for kept, c in coeffs.items():
-        values += c * np.prod(draws[:, kept], axis=1)
-    normalized = values / math.sqrt(variance)
-
-    empirical = float(np.mean(np.abs(normalized - t) <= eps))
-    bound = float(c_policy) * degree * eps ** (1.0 / degree) if eps > 0 else 0.0
-    return {
-        "empirical": empirical,
-        "bound": bound,
-        "degree": degree,
-        "eps": eps,
-        "trials": trials,
-        "mean_shift": float(mean),
-        "variance": float(variance),
     }

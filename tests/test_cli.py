@@ -190,6 +190,17 @@ class TestConfigErrors:
         ("ica-bench", {"trials": 0}, "trials must be at least 1"),
         ("ica-bench", {"d": 5}, "d must be one of (4, 6)"),
         ("reduction-check", {"samples": 0}, "samples must be at least 1"),
+        ("learn", {**TOY_LEARN, "delta": 0}, "delta must lie in (0, 1)"),
+        ("learn", {**TOY_LEARN, "delta": 1.5}, "delta must lie in (0, 1)"),
+        ("learn", {**TOY_LEARN, "eps": 0}, "eps must be positive"),
+        ("learn", {"generator": {"n": 0}}, "generator n must be at least 1"),
+        ("hardness", {"mode": "pigeonhole", "dimension": 2, "l1_samples": 0},
+         "l1_samples must be at least 1"),
+        ("hardness", {"mode": "pigeonhole", "k": 1}, "k must be at least 2"),
+        ("smoothed", {"n": 2}, "n must be at least 3"),
+        ("reduction-check", {"probs": []}, "probs must not be empty"),
+        ("reduction-check", {"lam": -1}, "lam must be positive"),
+        ("reduction-check", {"lam": 0}, "lam must be positive"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):

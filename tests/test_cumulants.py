@@ -19,11 +19,9 @@ from poissonize import (
     analytic_ica_cumulant,
     assemble_flat_cumulant,
     empirical_cumulant,
-    joint_cumulant,
     poisson_moment,
     raw_moments_to_cumulants,
 )
-from poissonize.cumulants import set_partitions
 
 
 def brute_force_tensor(mixing, source_cumulants, ell):
@@ -132,22 +130,6 @@ class TestEmpiricalCumulant:
             empirical_cumulant(np.ones(100), 7)
 
 
-class TestSetPartitions:
-    @pytest.mark.parametrize("k,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
-    def test_bell_counts(self, k, bell):
-        assert len(set_partitions(k)) == bell
-
-    def test_blocks_partition_the_set(self):
-        for part in set_partitions(4):
-            flat = sorted(i for block in part for i in block)
-            assert flat == [0, 1, 2, 3]
-
-    def test_partitions_distinct(self):
-        parts = set_partitions(4)
-        canon = {tuple(sorted(tuple(sorted(b)) for b in p)) for p in parts}
-        assert len(canon) == len(parts)
-
-
 class TestMomentAccumulator:
     def test_moment_matches_direct_mean(self):
         rng = SeededRng(7)
@@ -207,7 +189,7 @@ class TestJointCumulant:
         x = rng.poisson(2.0, size=200_000).astype(float)
         acc = MomentAccumulator(1, 4, shift=np.array([x.mean()]))
         acc.update(x.reshape(-1, 1))
-        jc = joint_cumulant(acc.moment, (0, 0, 0))
+        jc = assemble_flat_cumulant(acc, 3).data.reshape(1, 1, 1)[0, 0, 0]
         assert jc == pytest.approx(empirical_cumulant(x, 3), rel=1e-10)
 
     def test_covariance_case(self):
@@ -217,7 +199,8 @@ class TestJointCumulant:
         acc = MomentAccumulator(2, 2, shift=data.mean(axis=0))
         acc.update(data)
         want = np.cov(data.T, bias=True)[0, 1]
-        assert joint_cumulant(acc.moment, (0, 1)) == pytest.approx(want, rel=1e-6)
+        cov = assemble_flat_cumulant(acc, 2).data.reshape(2, 2)
+        assert cov[0, 1] == pytest.approx(want, rel=1e-6)
 
 
 class TestFlatCumulant:
@@ -304,6 +287,32 @@ class TestAssembleFlatCumulant:
             tensor = sub.data.reshape((2,) * ell)
             for axes in itertools.permutations(range(ell)):
                 assert np.array_equal(tensor, tensor.transpose(axes))
+
+    def test_high_orders_match_projected_scalar_cumulants(self):
+        """At orders 5-7, the orders a d=6 run assembles, contracting the
+        tensor with u^{tensor ell} gives the scalar cumulant of u.z, on a
+        Poisson mixture whose multisets repeat indices; the order-7 tensor is
+        exactly symmetric."""
+        rng = SeededRng(317)
+        mixing = np.array([[1.0, 0.3, -0.4, 0.2],
+                           [-0.5, 1.0, 0.6, 0.1],
+                           [0.2, -0.3, 1.0, 0.8]])
+        counts = np.column_stack(
+            [rng.poisson(r, size=20_000) for r in (0.5, 1.0, 1.5, 2.0)]
+        )
+        data = counts.astype(float) @ mixing.T + 0.1 * rng.standard_normal((20_000, 3))
+        acc = MomentAccumulator(3, 7, shift=data.mean(axis=0))
+        acc.update(data)
+        u = np.array([0.6, -0.48, 0.64])
+        z = (data - data.mean(axis=0)) @ u
+        want = raw_moments_to_cumulants([float(np.mean(z**r)) for r in range(1, 8)])
+        for ell in (5, 6, 7):
+            tensor = assemble_flat_cumulant(acc, ell).data.reshape((3,) * ell)
+            projected = tensor
+            for _ in range(ell):
+                projected = projected @ u
+            assert abs(projected - want[ell - 1]) < 1e-10 * np.mean(np.abs(z) ** ell)
+        assert np.array_equal(tensor, tensor.transpose(3, 0, 6, 1, 5, 2, 4))
 
     def test_order_one_restores_shift(self):
         data = np.array([[1.0, 10.0], [3.0, 30.0]])

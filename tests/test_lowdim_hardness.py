@@ -23,7 +23,6 @@ from poissonize import (
     interpolate,
     kernel,
     l1_distance,
-    pair_from_json,
     pair_to_json,
     pigeonhole_pair,
     random_points,
@@ -390,17 +389,11 @@ class TestEmbedAsIca:
 
 
 class TestPairJson:
-    def test_round_trip(self):
-        rng = SeededRng(101)
-        pair = pigeonhole_pair(random_points(16, 1, rng), rng)
-        back = pair_from_json(pair_to_json(pair))
-        np.testing.assert_allclose(back.p.means, pair.p.means, atol=1e-15)
-        np.testing.assert_allclose(back.q.weights, pair.q.weights, atol=1e-15)
-        assert back.l1_distance == pair.l1_distance
-        assert back.fill == pair.fill
-        assert back.kernel_condition == pair.kernel_condition
-
     def test_output_is_deterministic(self):
-        rng = SeededRng(101)
-        pair = pigeonhole_pair(random_points(16, 1, rng), rng)
-        assert pair_to_json(pair) == pair_to_json(pair_from_json(pair_to_json(pair)))
+        """Two pairs built from the same seed export to the same bytes."""
+
+        def build():
+            rng = SeededRng(101)
+            return pigeonhole_pair(random_points(16, 1, rng), rng)
+
+        assert pair_to_json(build()) == pair_to_json(build())

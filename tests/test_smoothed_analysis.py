@@ -7,7 +7,6 @@ from poissonize import (
     FAMILIES,
     SeededRng,
     SmoothedTrial,
-    anticoncentration_estimate,
     base_matrix,
     run_smoothed,
     rv_check,
@@ -139,41 +138,3 @@ class TestRvCheck:
     def test_single_column_rejected(self):
         with pytest.raises(ValueError):
             rv_check(np.ones((3, 1)))
-
-
-class TestAnticoncentration:
-    def test_large_eps_saturates(self):
-        out = anticoncentration_estimate(2, 10.0, 10_000, SeededRng(19))
-        assert out["empirical"] == 1.0
-
-    def test_zero_eps_never_hits(self):
-        out = anticoncentration_estimate(2, 0.0, 10_000, SeededRng(19))
-        assert out["empirical"] == 0.0
-        assert out["bound"] == 0.0
-
-    def test_degree_two_small_ball(self):
-        out = anticoncentration_estimate(2, 1e-4, 100_000, SeededRng(13))
-        assert out["bound"] == pytest.approx(0.02)
-        assert out["empirical"] <= out["bound"]
-
-    def test_degree_one_matches_gaussian_density(self):
-        """Degree 1 normalizes to a standard Gaussian, so the small-ball
-        mass is 2 phi(0) eps to first order."""
-        out = anticoncentration_estimate(1, 0.1, 100_000, SeededRng(17))
-        assert out["empirical"] == pytest.approx(2.0 * 0.1 / np.sqrt(2 * np.pi), abs=0.01)
-        assert out["empirical"] <= out["bound"]
-
-    def test_monotone_in_eps(self):
-        lo = anticoncentration_estimate(2, 0.01, 20_000, SeededRng(29))
-        hi = anticoncentration_estimate(2, 0.1, 20_000, SeededRng(29))
-        assert lo["empirical"] <= hi["empirical"]
-
-    def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            anticoncentration_estimate(0, 0.1, 100, SeededRng(1))
-        with pytest.raises(ValueError):
-            anticoncentration_estimate(9, 0.1, 100, SeededRng(1), n=8)
-        with pytest.raises(ValueError):
-            anticoncentration_estimate(2, -0.1, 100, SeededRng(1))
-        with pytest.raises(ValueError):
-            anticoncentration_estimate(2, 0.1, 0, SeededRng(1))
