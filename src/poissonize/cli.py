@@ -194,6 +194,10 @@ def _cmd_learn(config, out_dir):
                 for key, value in config["generator"].items()
             })
             generator["n"] = _count(generator["n"], "generator n")
+            generator["m"] = _count(generator["m"], "generator m")
+            noise = generator["noise"]
+            _require(noise >= 0.0,
+                     f"bad config value: generator noise must be nonnegative, got {noise}")
 
     fixed_gmm = None
     if "gmm" in config:
@@ -308,6 +312,7 @@ def _cmd_smoothed(config, out_dir):
         n = int(config.get("n", 10))
         _require(n >= 3, f"bad config value: n must be at least 3, got {n}")
         sigma = float(config.get("sigma", 0.1))
+        _require(sigma > 0.0, f"bad config value: sigma must be positive, got {sigma}")
         trials = config.get("trials", 50)
         seed = int(config.get("seed", 0))
     resolved = {
@@ -352,10 +357,10 @@ def _cmd_hardness(config, out_dir):
             h_values = [float(h) for h in config.get("h_values", [0.1, 0.05, 0.025])]
             if not h_values:
                 raise ValueError("h_values must not be empty")
+            designs = [equispaced_interleaved(h) for h in h_values]
         resolved = {"mode": mode, "h_values": h_values, "seed": seed}
         records = []
-        for index, h in enumerate(h_values):
-            x_set, y_set = equispaced_interleaved(h)
+        for index, (h, (x_set, y_set)) in enumerate(zip(h_values, designs)):
             pair = build_close_pair(x_set, y_set, rng=root.derive(index))
             records.append(TrialRecord({
                 "h": h,
@@ -375,7 +380,7 @@ def _cmd_hardness(config, out_dir):
         with _config_values():
             k = int(config.get("k", 5))
             _require(k >= 2, f"bad config value: k must be at least 2, got {k}")
-            dimension = int(config.get("dimension", 1))
+            dimension = _count(config.get("dimension", 1), "dimension")
             instances = _count(config.get("instances", config.get("trials", 10)),
                                "instances")
         resolved = {
@@ -445,8 +450,8 @@ def _cmd_ica_bench(config, out_dir):
     }
     _check_keys(config, allowed)
     with _config_values():
-        n = int(config.get("n", 4))
-        m = int(config.get("m", 6))
+        n = _count(config.get("n", 4), "n")
+        m = _count(config.get("m", 6), "m")
         d = _cumulant_order(config.get("d", 4))
         trials = config.get("trials", 20)
         floor = float(config.get("sigma_floor", 1e-3))
@@ -510,12 +515,16 @@ def _cmd_reduction_check(config, out_dir):
         _require(lam > 0.0, f"bad config value: lam must be positive, got {lam}")
         probs = [float(p) for p in config.get("probs", [0.2, 0.3, 0.5])]
         _require(probs, "bad config value: probs must not be empty")
+        _require(min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= 1e-12,
+                 f"bad config value: probs must be nonnegative and sum to 1, got {probs}")
         samples = _count(config.get("samples", 100_000), "samples")
         delta = float(config.get("delta", 1e-6))
         marginal_tol = float(config.get("marginal_tol", 0.02))
         corr_tol = float(config.get("corr_tol", 0.02))
         grid_lams = [float(v) for v in config.get("grid_lams", range(1, 9))]
         grid_taus = [int(v) for v in config.get("grid_taus", range(0, 21))]
+        _require(min(grid_taus, default=0) >= 0,
+                 f"bad config value: grid_taus must be nonnegative, got {grid_taus}")
         seed = int(config.get("seed", 0))
     resolved = {
         "lam": lam, "probs": probs, "samples": samples, "delta": delta,

@@ -9,6 +9,7 @@ rejection (PTRS) for large ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ __all__ = [
 _MAX_MOMENT_ORDER = 20
 _WEIGHT_TOL = 1e-12
 _PSD_TOL = -1e-10
+_PDF_BLOCK = 4096
 
 
 @dataclass
@@ -44,6 +46,9 @@ class GmmParams:
         Strictly positive, summing to 1 within 1e-12.
     covariance : ndarray, shape (n, n)
         Symmetric positive semidefinite shared covariance.
+
+    The density factors are computed on the first :func:`gmm_pdf` call and
+    kept, so the parameters must not be changed after that call.
     """
 
     means: np.ndarray
@@ -80,6 +85,25 @@ class GmmParams:
     @property
     def m(self):
         return self.means.shape[1]
+
+    @functools.cached_property
+    def _density_factors(self):
+        """(W, whitened centers, scaled weights) for :func:`gmm_pdf`.
+
+        W is the inverse of the Cholesky factor L (covariance = L L^T),
+        transposed, so the Mahalanobis form of a row x about a mean mu is
+        ||x W - mu W||^2.  The centers mu W are rows, shape (m, n); the
+        scaled weights are the weights times the Gaussian normaliser
+        (2 pi)^(-n/2) det(covariance)^(-1/2).
+        """
+        try:
+            chol = np.linalg.cholesky(self.covariance)
+        except np.linalg.LinAlgError:
+            raise ValueError("density requires positive definite covariance") from None
+        whiten = np.linalg.inv(chol).T
+        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+        norm = math.exp(-0.5 * (self.n * math.log(2.0 * math.pi) + logdet))
+        return whiten, self.means.T @ whiten, self.weights * norm
 
 
 def _psd_factor(cov):
@@ -234,22 +258,30 @@ def sample_gmm(gmm, count, rng):
 
 def gmm_pdf(gmm, x):
     """Mixture density at the rows of ``x`` (requires positive definite
-    covariance)."""
+    covariance).
+
+    The points are whitened once and walked in blocks of 4096, so the
+    temporaries never exceed two (components x block) arrays.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = gmm.n
     if x.shape[1] != n:
         raise ValueError(f"points must have dimension {n}")
-    sign, logdet = np.linalg.slogdet(gmm.covariance)
-    if sign <= 0:
-        raise ValueError("density requires positive definite covariance")
-    prec = np.linalg.inv(gmm.covariance)
-    norm = math.exp(-0.5 * (n * math.log(2.0 * math.pi) + logdet))
-    dens = np.zeros(x.shape[0])
-    for i in range(gmm.m):
-        d = x - gmm.means[:, i]
-        q = np.einsum("ij,jk,ik->i", d, prec, d)
-        dens += gmm.weights[i] * np.exp(-0.5 * q)
-    return norm * dens
+    whiten, centers, scaled = gmm._density_factors
+    z = x @ whiten
+    dens = np.empty(z.shape[0])
+    for start in range(0, z.shape[0], _PDF_BLOCK):
+        block = z[start : start + _PDF_BLOCK]
+        sq = np.zeros((gmm.m, block.shape[0]))
+        diff = np.empty_like(sq)
+        for j in range(n):
+            np.subtract(centers[:, j, None], block[:, j], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sq += diff
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        dens[start : start + _PDF_BLOCK] = scaled @ sq
+    return dens
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ _CUBE_TOL = 1e-12
 _RESIDUAL_REL_TOL = 1e-8
 _REFINE_STEPS = 4
 _QUAD_RANGE = (-8.0, 9.0)
+_QUAD_SIGMAS = 8.0
 
 
 class DegeneratePairError(RuntimeError):
@@ -299,9 +300,10 @@ def build_close_pair(x_set, y_set, rng=None, l1_samples=200_000):
 def l1_distance(p, q, method=None, rng=None, samples=200_000, return_error=False):
     """L1 distance between two mixture densities over all of R^n.
 
-    Univariate instances integrate |p - q| by adaptive quadrature over a
-    range holding all but < 1e-14 of both masses, with the stray mass added
-    to the error report.  Higher dimensions use importance sampling from the
+    Univariate instances integrate |p - q| by adaptive quadrature over
+    [-8, 9] widened to reach 8 standard deviations beyond every mean, which
+    holds all but < 1e-14 of both masses; the stray mass is added to the
+    error report.  Higher dimensions use importance sampling from the
     balanced mixture (p + q)/2, whose weight |p - q| / m is bounded by 2;
     a relative error above 50% triggers an unreliable-estimate warning.
     """
@@ -313,18 +315,21 @@ def l1_distance(p, q, method=None, rng=None, samples=200_000, return_error=False
         if p.n != 1:
             raise ValueError("quadrature path is univariate")
         lo, hi = _QUAD_RANGE
+        for gmm in (p, q):
+            mus = gmm.means.ravel()
+            reach = _QUAD_SIGMAS * _std(gmm)
+            lo = min(lo, float(mus.min()) - reach)
+            hi = max(hi, float(mus.max()) + reach)
 
         def gap(t):
             x = np.array([[t]])
             return abs(float(gmm_pdf(p, x)[0]) - float(gmm_pdf(q, x)[0]))
 
-        breaks = np.unique(np.concatenate([p.means.ravel(), q.means.ravel()]))
-        breaks = [float(b) for b in breaks if lo < b < hi]
+        # every mean lies strictly inside [lo, hi]
+        breaks = np.unique(np.concatenate([p.means.ravel(), q.means.ravel()])).tolist()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
-            value, err = quad(
-                gap, lo, hi, points=breaks or None, limit=600, epsabs=1e-14
-            )
+            value, err = quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)
         tail = _mass_outside(p, lo, hi) + _mass_outside(q, lo, hi)
         value = float(value)
         err = float(err) + tail
@@ -352,10 +357,17 @@ def l1_distance(p, q, method=None, rng=None, samples=200_000, return_error=False
     return value
 
 
+def _std(gmm):
+    """Standard deviation of a univariate mixture's components."""
+    return math.sqrt(float(gmm.covariance[0, 0]))
+
+
 def _mass_outside(gmm, lo, hi):
-    """Unit-covariance mixture mass outside [lo, hi] (univariate)."""
+    """Univariate mixture mass outside [lo, hi]."""
     mus = gmm.means.ravel()
-    return float(np.sum(gmm.weights * (ndtr(lo - mus) + ndtr(mus - hi))))
+    sigma = _std(gmm)
+    outside = ndtr((lo - mus) / sigma) + ndtr((mus - hi) / sigma)
+    return float(np.sum(gmm.weights * outside))
 
 
 def random_points(count, dimension, rng):

@@ -201,6 +201,16 @@ class TestConfigErrors:
         ("reduction-check", {"probs": []}, "probs must not be empty"),
         ("reduction-check", {"lam": -1}, "lam must be positive"),
         ("reduction-check", {"lam": 0}, "lam must be positive"),
+        ("learn", {"generator": {"noise": -1}}, "generator noise must be nonnegative"),
+        ("ica-bench", {"n": 0}, "n must be at least 1"),
+        ("ica-bench", {"m": 0}, "m must be at least 1"),
+        ("smoothed", {"sigma": 0}, "sigma must be positive"),
+        ("hardness", {"h_values": [0.3]}, "h must equal 1/(2k)"),
+        ("reduction-check", {"probs": [0.5]}, "probs must be nonnegative and sum to 1"),
+        ("reduction-check", {"grid_taus": [-1]}, "grid_taus must be nonnegative"),
+        ("hardness", {"mode": "pigeonhole", "dimension": 0},
+         "dimension must be at least 1"),
+        ("learn", {"generator": {"m": 0}}, "generator m must be at least 1"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonize import (
     FlatCumulant,
@@ -181,6 +183,38 @@ class TestMomentAccumulator:
         acc = MomentAccumulator(2, 2)
         acc.update(np.zeros((0, 2)))
         assert acc.count == 0
+
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(min_value=1, max_value=3),
+        rows=st.integers(min_value=2, max_value=300),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_result_independent_of_chunking(self, seed, dim, rows, cuts):
+        """The same rows split into any chunks, empty ones included, give
+        the same moments and order-3..5 cumulants, within 1e-12 of the
+        largest coordinate's ell-th absolute central moment."""
+        rng = SeededRng(seed)
+        data = rng.standard_normal((rows, dim))
+        data[:, 0] = rng.poisson(1.5, size=rows)
+        shift = data.mean(axis=0)
+        whole = MomentAccumulator(dim, 5, shift=shift)
+        whole.update(data)
+        pieces = MomentAccumulator(dim, 5, shift=shift)
+        bounds = [0, *sorted(int(c * rows) for c in cuts), rows]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            pieces.update(data[start:stop])
+        assert pieces.count == whole.count == rows
+        z = np.abs(data - shift)
+        scale = {ell: float((z**ell).mean(axis=0).max()) for ell in range(1, 6)}
+        for key in whole.keys:
+            gap = abs(whole.moment(key) - pieces.moment(key))
+            assert gap <= 1e-12 * scale[len(key)]
+        for ell in (3, 4, 5):
+            gap = np.abs(assemble_flat_cumulant(whole, ell).data
+                         - assemble_flat_cumulant(pieces, ell).data).max()
+            assert gap <= 1e-12 * scale[ell]
 
 
 class TestJointCumulant:

@@ -148,6 +148,76 @@ class TestSampleGmm:
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
+def random_spd_mixture(rng, n, m):
+    """Mixture with a non-diagonal SPD covariance (eigenvalues >= 0.5)."""
+    a = rng.standard_normal((n, n))
+    weights = rng.uniform(0.1, 1.0, size=m)
+    return GmmParams(rng.standard_normal((n, m)), weights / weights.sum(),
+                     a @ a.T / n + 0.5 * np.eye(n))
+
+
+def reference_pdf(gmm, x):
+    """Per-component scipy.stats density, summed with the weights."""
+    return sum(
+        w * scipy.stats.multivariate_normal(gmm.means[:, i], gmm.covariance).pdf(x)
+        for i, w in enumerate(gmm.weights)
+    )
+
+
+class TestGmmPdf:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
+    def test_matches_scipy_across_block_boundary(self, n, count):
+        """Point counts on both sides of the 4096-point block agree with the
+        per-component reference to 1e-12 relative, at points drawn from the
+        mixture (far tails lose relative accuracy in both evaluations)."""
+        g = random_spd_mixture(np.random.default_rng(100 + n), n, 4)
+        x = sample_gmm(g, count, SeededRng(n))
+        np.testing.assert_allclose(gmm_pdf(g, x), np.atleast_1d(reference_pdf(g, x)),
+                                   rtol=1e-12, atol=0)
+
+    def test_batch_matches_row_by_row(self):
+        rng = np.random.default_rng(5)
+        g = random_spd_mixture(rng, 2, 3)
+        x = 2.0 * rng.standard_normal((50, 2))
+        rows = np.array([gmm_pdf(g, row)[0] for row in x])
+        np.testing.assert_allclose(gmm_pdf(g, x), rows, rtol=1e-13, atol=0)
+
+    def test_second_call_reuses_cached_factors(self):
+        rng = np.random.default_rng(6)
+        g = random_spd_mixture(rng, 3, 2)
+        x = rng.standard_normal((10, 3))
+        first = gmm_pdf(g, x)
+        factors = g._density_factors
+        assert np.array_equal(gmm_pdf(g, x), first)
+        assert g._density_factors is factors
+
+    @pytest.mark.parametrize("covariance", [np.zeros((2, 2)), np.ones((2, 2))])
+    def test_singular_covariance_samples_but_has_no_density(self, covariance):
+        g = GmmParams(np.eye(2), np.array([0.5, 0.5]), covariance)
+        assert sample_gmm(g, 20, SeededRng(0)).shape == (20, 2)
+        for _ in range(2):  # a failed factorization is not cached
+            with pytest.raises(ValueError, match="density requires positive definite"):
+                gmm_pdf(g, np.zeros((1, 2)))
+
+    def test_dimension_mismatch_rejected(self):
+        g = GmmParams(np.eye(2), np.array([0.5, 0.5]), np.eye(2))
+        with pytest.raises(ValueError, match="dimension 2"):
+            gmm_pdf(g, np.zeros((3, 3)))
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_random_spd_mixtures_match_scipy(self, seed, n, m):
+        g = random_spd_mixture(np.random.default_rng(seed), n, m)
+        x = sample_gmm(g, 20, SeededRng(seed))
+        np.testing.assert_allclose(gmm_pdf(g, x), reference_pdf(g, x),
+                                   rtol=1e-12, atol=0)
+
+
 class TestPoissonCumulant:
     """Every cumulant of a Poisson rate equals the rate: the Stirling-form
     moments converted by raw_moments_to_cumulants."""

@@ -29,6 +29,7 @@ from poissonize import (
     sample_approx_ica_batch,
     target_f,
 )
+from poissonize.lowdim_hardness import _mass_outside
 
 
 def unit_gaussian(center):
@@ -253,6 +254,18 @@ class TestL1Distance:
         )
         assert value > 1.95
         assert 2.0 - value <= err + 1e-3
+
+    def test_wide_components_closed_form(self):
+        """N(0, 9) against N(3, 9): the range and the tail charge follow the
+        standard deviation, and the reported error bounds the actual one."""
+        p = GmmParams(np.array([[0.0]]), np.array([1.0]), np.array([[9.0]]))
+        q = GmmParams(np.array([[3.0]]), np.array([1.0]), np.array([[9.0]]))
+        value, err = l1_distance(p, q, return_error=True)
+        expected = 2.0 * (2.0 * float(ndtr(3.0 / (2.0 * 3.0))) - 1.0)
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert abs(value - expected) <= err
+        # the tail charge itself, one standard deviation either side
+        assert _mass_outside(p, -3.0, 3.0) == pytest.approx(2.0 * float(ndtr(-1.0)))
 
     def test_monte_carlo_matches_quadrature(self):
         p, q = unit_gaussian([0.0]), unit_gaussian([1.0])
