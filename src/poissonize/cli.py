@@ -46,7 +46,7 @@ from .lowdim_hardness import (
     random_points,
 )
 from .poissonization import poisson_split
-from .records import TrialRecord, write_records, write_summary
+from .records import write_records, write_summary
 from .smoothed_analysis import FAMILIES, run_smoothed
 from .tensor_linalg import khatri_rao_power, sigma_min
 
@@ -204,6 +204,12 @@ def _cmd_learn(config, out_dir):
         _check_keys(config["gmm"], {"means", "weights", "covariance"}, where="gmm")
         with _config_values():
             fixed_gmm = _gmm_from_config(config["gmm"])
+    if fixed_tau is not None:
+        # the Poisson rate lambda is the component count m
+        components = fixed_gmm.m if fixed_gmm is not None else generator["m"]
+        _require(math.isfinite(fixed_tau) and fixed_tau > math.e * components,
+                 "bad config value: tau must be finite and exceed "
+                 f"e * m = {math.e * components:.6g}, got {fixed_tau}")
 
     resolved = {
         "d": d, "delta": delta, "eps": eps, "samples": samples,
@@ -277,13 +283,12 @@ def _cmd_learn(config, out_dir):
             errors.append(row["reason"])
             status = 2
         timings.append(time.perf_counter() - started)
-        records.append(TrialRecord(row))
+        records.append(row)
 
-    aligned = [r.values["aligned_error"] for r in records
-               if r.values["aligned_error"] is not None]
+    aligned = [r["aligned_error"] for r in records if r["aligned_error"] is not None]
     extra = {
-        "success_count": sum(1 for r in records if not r.values["failed"]),
-        "failure_count": sum(1 for r in records if r.values["failed"]),
+        "success_count": sum(1 for r in records if not r["failed"]),
+        "failure_count": sum(1 for r in records if r["failed"]),
         "aligned_errors": aligned,
         "median_aligned_error": float(np.median(aligned)) if aligned else None,
         "trial_seconds": timings,
@@ -320,7 +325,7 @@ def _cmd_smoothed(config, out_dir):
         "trials": trials, "seed": seed,
     }
     results = run_smoothed(families, n, sigma, trials, SeededRng(seed))
-    records = [TrialRecord(r.to_dict()) for r in results]
+    records = [r.to_dict() for r in results]
     per_family = {
         family: sum(1 for r in results if r.family == family and r.passed)
         for family in families
@@ -362,7 +367,7 @@ def _cmd_hardness(config, out_dir):
         records = []
         for index, (h, (x_set, y_set)) in enumerate(zip(h_values, designs)):
             pair = build_close_pair(x_set, y_set, rng=root.derive(index))
-            records.append(TrialRecord({
+            records.append({
                 "h": h,
                 "points_per_set": x_set.size,
                 "components_p": pair.p.m,
@@ -373,7 +378,7 @@ def _cmd_hardness(config, out_dir):
                 "beta": pair.beta,
                 "fill": pair.fill,
                 "kernel_condition": pair.kernel_condition,
-            }))
+            })
             _write_pair(out_dir, f"pair_decay_{index}.json", pair)
         extra = {"pairs_written": len(records)}
     elif mode == "pigeonhole":
@@ -415,9 +420,9 @@ def _cmd_hardness(config, out_dir):
             except RuntimeError as exc:
                 failures.append(f"instance {index}: {exc}")
                 status = 2
-            records.append(TrialRecord(row))
+            records.append(row)
         extra = {"failures": failures,
-                 "built_count": sum(1 for r in records if r.values["built"])}
+                 "built_count": sum(1 for r in records if r["built"])}
     else:
         raise UsageError("mode must be 'decay' or 'pigeonhole'")
     return records, None, resolved, extra, status
@@ -457,6 +462,9 @@ def _cmd_ica_bench(config, out_dir):
         floor = float(config.get("sigma_floor", 1e-3))
         cum_low = float(config.get("cum_low", 1.0))
         cum_high = float(config.get("cum_high", 2.0))
+        _require(0.0 < cum_low <= cum_high,
+                 "bad config value: need 0 < cum_low <= cum_high, "
+                 f"got {cum_low} and {cum_high}")
         seed = int(config.get("seed", 0))
     resolved = {
         "n": n, "m": m, "d": d, "trials": trials, "sigma_floor": floor,
@@ -473,15 +481,15 @@ def _cmd_ica_bench(config, out_dir):
         k_next = analytic_ica_cumulant(mixing, cums_next, d + 1).data
         estimate = recover_from_cumulants(m0, k_next, m, d, rng)
         _, _, max_error = align_columns(estimate.columns, mixing)
-        records.append(TrialRecord({
+        records.append({
             "trial": trial,
             "seed": rng.seed,
             "n": n, "m": m, "d": d,
             "sigma_min_kr": float(sigma_min(khatri_rao_power(mixing, d // 2))),
             "aligned_error": max_error,
             "eigengap": estimate.eigengap,
-        }))
-    worst = max(r.values["aligned_error"] for r in records)
+        })
+    worst = max(r["aligned_error"] for r in records)
     extra = {"max_aligned_error": worst, "all_below_1e-6": bool(worst < 1e-6)}
     return records, None, resolved, extra, 0
 
@@ -519,11 +527,17 @@ def _cmd_reduction_check(config, out_dir):
                  f"bad config value: probs must be nonnegative and sum to 1, got {probs}")
         samples = _count(config.get("samples", 100_000), "samples")
         delta = float(config.get("delta", 1e-6))
+        _require(0.0 < delta < 1.0,
+                 f"bad config value: delta must lie in (0, 1), got {delta}")
         marginal_tol = float(config.get("marginal_tol", 0.02))
         corr_tol = float(config.get("corr_tol", 0.02))
         grid_lams = [float(v) for v in config.get("grid_lams", range(1, 9))]
         grid_taus = [int(v) for v in config.get("grid_taus", range(0, 21))]
-        _require(min(grid_taus, default=0) >= 0,
+        _require(grid_lams and grid_taus,
+                 "bad config value: grid_lams and grid_taus must not be empty")
+        _require(min(grid_lams) >= 0.0,
+                 f"bad config value: grid_lams must be nonnegative, got {grid_lams}")
+        _require(min(grid_taus) >= 0,
                  f"bad config value: grid_taus must be nonnegative, got {grid_taus}")
         seed = int(config.get("seed", 0))
     resolved = {
@@ -537,45 +551,45 @@ def _cmd_reduction_check(config, out_dir):
     split = poisson_split(lam, probs, rng, samples)
     for i, p in enumerate(probs):
         tv = empirical_poisson_tv(split[:, i], p * lam)
-        records.append(TrialRecord({
+        records.append({
             "check": "marginal_tv", "index": str(i), "value": tv,
             "bound": marginal_tol, "passed": bool(tv < marginal_tol),
-        }))
+        })
     correlations = np.corrcoef(split, rowvar=False)
     for i in range(len(probs)):
         for j in range(i + 1, len(probs)):
             rho = float(correlations[i, j])
-            records.append(TrialRecord({
+            records.append({
                 "check": "pair_correlation", "index": f"{i}-{j}", "value": rho,
                 "bound": corr_tol, "passed": bool(abs(rho) < corr_tol),
-            }))
+            })
 
     worst_gap = max(
         abs(truncated_poisson_tv(g_lam, g_tau) - _brute_truncation_tv(g_lam, g_tau))
         for g_lam in grid_lams
         for g_tau in grid_taus
     )
-    records.append(TrialRecord({
+    records.append({
         "check": "truncation_identity_max_gap", "index": "", "value": worst_gap,
         "bound": 1e-12, "passed": bool(worst_gap < 1e-12),
-    }))
+    })
 
     lemma_tau = poisson_tail_threshold(delta, lam)
     lemma_tail = truncated_poisson_tv(lam, lemma_tau)
-    records.append(TrialRecord({
+    records.append({
         "check": "tail_threshold", "index": "lemma", "value": float(lemma_tau),
         "bound": delta, "passed": bool(lemma_tail < delta),
-    }))
+    })
     certified_tau = certified_tail_threshold(delta, lam)
     certified_tail = truncated_poisson_tv(lam, certified_tau)
-    records.append(TrialRecord({
+    records.append({
         "check": "tail_threshold", "index": "certified",
         "value": float(certified_tau), "bound": delta,
         "passed": bool(certified_tail < delta),
-    }))
+    })
 
     extra = {
-        "all_passed": bool(all(r.values["passed"] for r in records)),
+        "all_passed": bool(all(r["passed"] for r in records)),
         "lemma_tail": lemma_tail,
         "certified_tail": certified_tail,
     }

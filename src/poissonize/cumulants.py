@@ -123,8 +123,8 @@ class MomentAccumulator:
     Accumulates sum_t prod_{j} (x_t[i_j] - shift[i_j]) for every
     nondecreasing index tuple (i_1 <= ... <= i_k), k = 1..order, in a single
     pass over chunks.  Partial products are reused along the multiset prefix
-    tree, and per-entry Kahan compensation makes chunk merges
-    order-independent to rounding.
+    tree, and per-entry Kahan compensation keeps the sums independent of how
+    the rows are split into chunks, to rounding.
     """
 
     def __init__(self, dim, order, shift=None):
@@ -189,16 +189,6 @@ class MomentAccumulator:
         # the in-place multiply never clobbers a live parent product.
         descend((), None, 0, 0)
         self.count += c
-
-    def merge(self, other):
-        """Fold another accumulator (same dim/order/shift) into this one."""
-        if (other.dim, other.order) != (self.dim, self.order):
-            raise ValueError("accumulator layouts differ")
-        if not np.array_equal(other.shift, self.shift):
-            raise ValueError("accumulator shifts differ")
-        for pos in range(len(self.keys)):
-            self._kahan_add(pos, other.sums[pos])
-        self.count += other.count
 
     def moment(self, indices):
         """Mean of the monomial for a 0-based index tuple (any order)."""

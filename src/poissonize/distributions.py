@@ -152,12 +152,6 @@ class SeededRng:
     def standard_normal(self, size=None):
         return self.generator.standard_normal(size)
 
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.generator.normal(loc, scale, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size)
-
     def permutation(self, x):
         return self.generator.permutation(x)
 

@@ -9,8 +9,6 @@ order-3 cumulant of the unlifted coordinates of the same stream.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +81,9 @@ def lifted_conditioning(gmm, d):
     return sigma_min(khatri_rao_power(normalized, d // 2))
 
 
-def derive_bounds(gmm, d, slack=0.99):
-    """Bounds that a known mixture satisfies with a little slack."""
+def derive_bounds(gmm, d):
+    """Bounds that a known mixture satisfies; the conditioning floor is
+    0.99 of the measured value."""
     norms = np.linalg.norm(gmm.means, axis=0)
     diffs = gmm.means[:, :, None] - gmm.means[:, None, :]
     dist = np.linalg.norm(diffs, axis=0)
@@ -94,7 +93,7 @@ def derive_bounds(gmm, d, slack=0.99):
         w=float(gmm.weights.max() / gmm.weights.min()),
         u=float(norms.max()),
         r=max(separation, 1e-12),
-        b=float(lifted_conditioning(gmm, d)) * slack,
+        b=float(lifted_conditioning(gmm, d)) * 0.99,
     )
 
 
@@ -117,26 +116,6 @@ class LearnReport:
     failed: bool
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "estimated_means": None
-            if self.estimated_means is None
-            else self.estimated_means.tolist(),
-            "estimated_weights": None
-            if self.estimated_weights is None
-            else self.estimated_weights.tolist(),
-            "aligned_error": self.aligned_error,
-            "params": self.params.to_dict() if self.params is not None else None,
-            "samples_used": self.samples_used,
-            "failed": self.failed,
-            "diagnostics": {
-                k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                for k, v in self.diagnostics.items()
-            },
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def recover_weights(mixing, lam, flat_cum):
@@ -173,24 +152,6 @@ def _unlift(columns):
             "a recovered column has (numerically) zero lift coordinate"
         )
     return columns[:-1, :] / last
-
-
-def _schedule(covariance, m, d, delta, eps, bounds, tau):
-    """Reduction schedule for a mixture with the given noise covariance."""
-    sigma = math.sqrt(max(float(np.linalg.eigvalsh(covariance).max()), 0.0))
-    return compute_reduction_params(
-        covariance.shape[0],
-        m,
-        d,
-        delta,
-        eps,
-        bounds.w,
-        bounds.u,
-        bounds.r,
-        bounds.b,
-        sigma,
-        tau_override=tau,
-    )
 
 
 def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, samples_used, diagnostics):
@@ -268,7 +229,7 @@ def learn_means(
     elif not isinstance(source, MixtureSource):
         raise TypeError("source must be GmmParams or MixtureSource")
     n = source.covariance.shape[0]
-    params = _schedule(source.covariance, m, d, delta, eps, bounds, tau)
+    params = compute_reduction_params(source.covariance, m, d, delta, eps, bounds, tau)
     gap = tv_gap(params.lam, params.tau, samples)
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
     if truth is not None:
@@ -315,7 +276,7 @@ def learn_means_oracle(gmm, d, rng, delta=0.1, eps=0.1, bounds=None, tau=None, w
     """
     if bounds is None:
         bounds = derive_bounds(gmm, d)
-    params = _schedule(gmm.covariance, gmm.m, d, delta, eps, bounds, tau)
+    params = compute_reduction_params(gmm.covariance, gmm.m, d, delta, eps, bounds, tau)
     model = build_lifted_model(gmm, params.lam, params.tau)
     cum_d = model.scales**d * model.rates
     cum_next = model.scales ** (d + 1) * model.rates

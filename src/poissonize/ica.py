@@ -49,13 +49,12 @@ class IcaEstimate:
 
     columns : (n, m) with unit columns, order and signs are the solver's.
     eigengap : smallest eigenvalue gap of the diagonalized contraction, the
-        run's conditioning certificate.
-    order_used : cumulant order d the estimate was built from.
+        run's conditioning certificate; infinite for a single source, which
+        has no gap to certify.
     """
 
     columns: np.ndarray
     eigengap: float
-    order_used: int
 
     def __post_init__(self):
         self.columns = np.asarray(self.columns, dtype=float)
@@ -152,13 +151,16 @@ def recover_from_cumulants(m0, k_next, m, d, rng):
         h = 0.5 * (h + h.T)
         gamma, q = np.linalg.eigh(h)
         gaps = np.diff(np.sort(gamma))
-        gap = float(gaps.min()) if gaps.size else np.inf
+        if gaps.size:
+            gap = float(gaps.min())
+        else:  # one source has no gap to certify; a NaN contraction still fails
+            gap = np.inf if np.isfinite(gamma).all() else np.nan
         spread = float(gamma.max() - gamma.min()) if gamma.size > 1 else 1.0
         rel = gap / spread if spread > 0 else 0.0
         if best is None or gap > best[0]:
             best = (gap, rel, q)
     gap, rel, q = best
-    if not np.isfinite(gap) or rel <= _GAP_FLOOR:
+    if np.isnan(gap) or rel <= _GAP_FLOOR:
         raise IllConditionedError(
             f"eigenvalue gap {gap:.3e} too small after {_MAX_CONTRACTIONS} "
             "random contractions"
@@ -168,7 +170,7 @@ def recover_from_cumulants(m0, k_next, m, d, rng):
     columns = np.empty((n, m))
     for j in range(m):
         columns[:, j] = rank1_deflatten(flat_cols[:, j], n, d // 2)
-    return IcaEstimate(columns=columns, eigengap=gap, order_used=d)
+    return IcaEstimate(columns=columns, eigengap=gap)
 
 
 def _match_columns(cost):

@@ -27,7 +27,6 @@ from .distributions import (
     GmmParams,
     certified_tail_threshold,
     gmm_pdf,
-    poisson_tail_threshold,
     sample_gmm,
 )
 from .poissonization import IcaModel
@@ -451,23 +450,17 @@ def _combine_pairs(first, second, rng, l1_samples):
     )
 
 
-def embed_as_ica(pair, tau_policy="certified", delta=1e-9):
+def embed_as_ica(pair, delta=1e-9):
     """Noisy ICA models of both mixtures of a pair.
 
     lambda is set to the component count, so the source rates are w_i lambda
-    and sum back to lambda.  tau comes from the tail threshold at the given
-    delta; "certified" walks the threshold up until the actual tail is below
-    delta, "lemma" takes the closed-form threshold as is.
+    and sum back to lambda.  tau is the certified tail threshold at the given
+    delta: the smallest cutoff whose actual tail mass is below delta.
     """
     models = []
     for gmm in (pair.p, pair.q):
         lam = float(gmm.m)
-        if tau_policy == "certified":
-            tau = certified_tail_threshold(delta, lam)
-        elif tau_policy == "lemma":
-            tau = poisson_tail_threshold(delta, lam)
-        else:
-            raise ValueError("tau_policy must be 'certified' or 'lemma'")
+        tau = certified_tail_threshold(delta, lam)
         norms = np.linalg.norm(gmm.means, axis=0)
         if np.any(norms <= 0):
             raise ValueError("a zero center cannot be unit-normalized")

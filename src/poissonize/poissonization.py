@@ -222,27 +222,28 @@ class ReductionParams:
         if self.tau <= math.e * self.lam:
             raise ValueError("tau must exceed e * lambda")
 
-    def to_dict(self):
-        return {"lambda": self.lam, "tau": self.tau}
-
 
 def _log_plus(x):
     # factors below 1 are clamped so they never shrink the threshold
     return max(math.log(x), 0.0)
 
 
-def compute_reduction_params(n, m, d, delta, eps, w, u, r, b, sigma, tau_override=None):
-    """Parameter schedule for learning an m-component mixture in R^n.
+def compute_reduction_params(covariance, m, d, delta, eps, bounds, tau=None):
+    """Parameter schedule for learning an m-component mixture whose draws
+    carry the (n, n) noise ``covariance``.
 
     Splits the failure budget delta evenly, sets lambda = m, and computes the
     truncation from the polynomial threshold factor q(Theta), kept in log
-    space since it can overflow a double.
+    space since it can overflow a double.  A given ``tau`` replaces the
+    computed truncation.
 
-    Bounds: w >= w_max/w_min >= 1, u >= max ||mu_i||, r a positive separation
-    parameter, b a positive conditioning floor, sigma^2 the largest noise
-    eigenvalue.
+    ``bounds`` is a :class:`~poissonize.gmm_learner.MeanBounds`, checked when
+    it was built: w >= w_max/w_min >= 1, u >= max ||mu_i||, r a positive
+    separation parameter, b a positive conditioning floor.  sigma^2 is the
+    largest eigenvalue of the covariance.
     """
-    n = int(n)
+    covariance = np.asarray(covariance, dtype=float)
+    n = covariance.shape[0]
     m = int(m)
     d = int(d)
     if n < 1 or m < 1:
@@ -253,12 +254,7 @@ def compute_reduction_params(n, m, d, delta, eps, w, u, r, b, sigma, tau_overrid
         raise ValueError("delta must lie in (0, 1)")
     if not 0.0 < eps:
         raise ValueError("eps must be positive")
-    if w < 1.0:
-        raise ValueError("weight ratio bound w must be >= 1")
-    if u <= 0 or r <= 0 or b <= 0:
-        raise ValueError("bounds u, r, b must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    sigma = math.sqrt(max(float(np.linalg.eigvalsh(covariance).max()), 0.0))
 
     # half of delta bounds the ICA stage's failure, half the truncation's
     half_delta = delta / 2.0
@@ -266,17 +262,18 @@ def compute_reduction_params(n, m, d, delta, eps, w, u, r, b, sigma, tau_overrid
     d2 = d * d
     log_q = (
         d * math.log(n)
-        + d2 * (math.log(m) + _log_plus(u) + _log_plus(w) + math.log(d + 1) + _log_plus(r))
+        + d2 * (
+            math.log(m) + _log_plus(bounds.u) + _log_plus(bounds.w)
+            + math.log(d + 1) + _log_plus(bounds.r)
+        )
         + (d2 * _log_plus(sigma) if sigma > 0 else 0.0)
-        + d * _log_plus(1.0 / b)
+        + d * _log_plus(1.0 / bounds.b)
         + math.log(1.0 / eps)
         + math.log(1.0 / half_delta)
     )
-    if tau_override is None:
+    if tau is None:
         tau = 4.0 * (math.log(1.0 / half_delta) + log_q) * max((math.e * lam) ** 2, 4.0 * d2)
-    else:
-        tau = float(tau_override)
-    return ReductionParams(lam=lam, tau=tau)
+    return ReductionParams(lam=lam, tau=float(tau))
 
 
 def tv_gap(lam, tau, n_samples):

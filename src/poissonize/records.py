@@ -9,18 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TrialRecord", "format_value", "write_records", "write_summary"]
-
-
-@dataclass
-class TrialRecord:
-    """One result row; ``values`` is an ordered column -> value mapping."""
-
-    values: dict = field(default_factory=dict)
+__all__ = ["format_value", "write_records", "write_summary"]
 
 
 def format_value(value):
@@ -35,13 +27,10 @@ def format_value(value):
     return str(value)
 
 
-def _as_mapping(record):
-    return record.values if isinstance(record, TrialRecord) else record
-
-
 def write_records(path, records, columns=None):
-    """CSV writer with a fixed column set shared by every record."""
-    records = [_as_mapping(r) for r in records]
+    """CSV writer with a fixed column set shared by every record; each
+    record is an ordered column -> value mapping."""
+    records = list(records)
     if columns is None:
         if not records:
             raise ValueError("columns are required for an empty record set")

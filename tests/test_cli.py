@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -108,6 +109,19 @@ class TestLearnCommand:
         main(["learn", "--config", cfg, "--trials", "1", "--out", str(out)])
         assert len(read_rows(out)) == 1
 
+    def test_single_component_succeeds(self, tmp_path):
+        """One component leaves no eigenvalue gap to certify; the trials
+        succeed and record an infinite gap."""
+        cfg = write_config(tmp_path, {
+            "generator": {"n": 2, "m": 1}, "samples": 20_000, "trials": 2,
+        })
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [row["failed"] for row in rows] == ["false", "false"]
+        assert all(row["eigengap"] == "inf" for row in rows)
+        assert all(float(row["aligned_error"]) < 0.1 for row in rows)
+
     def test_degenerate_model_fails_as_modeled(self, tmp_path):
         """Four 1-D means give a rank-deficient order-4 cumulant: the trial
         fails with exit 2 and a recorded reason, not a traceback."""
@@ -211,6 +225,18 @@ class TestConfigErrors:
         ("hardness", {"mode": "pigeonhole", "dimension": 0},
          "dimension must be at least 1"),
         ("learn", {"generator": {"m": 0}}, "generator m must be at least 1"),
+        ("reduction-check", {"grid_taus": []}, "grid_taus must not be empty"),
+        ("reduction-check", {"grid_lams": []}, "grid_lams and grid_taus must not be empty"),
+        ("reduction-check", {"grid_lams": [2, -1]}, "grid_lams must be nonnegative"),
+        ("reduction-check", {"delta": 2}, "delta must lie in (0, 1)"),
+        ("reduction-check", {"delta": 0}, "delta must lie in (0, 1)"),
+        ("ica-bench", {"cum_low": 0, "cum_high": 0, "trials": 1},
+         "need 0 < cum_low <= cum_high"),
+        ("ica-bench", {"cum_low": 2, "cum_high": 1}, "need 0 < cum_low <= cum_high"),
+        ("learn", {"tau": 1, "samples": 2000, "generator": {"n": 2, "m": 2}},
+         "tau must be finite and exceed e * m = 5.43656"),
+        ("learn", {**TOY_LEARN, "tau": 5}, "tau must be finite and exceed e * m"),
+        ("learn", {**TOY_LEARN, "tau": math.inf}, "tau must be finite"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):

@@ -14,16 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonize import (
+from poissonize.cumulants import (
     FlatCumulant,
     MomentAccumulator,
-    SeededRng,
     analytic_ica_cumulant,
     assemble_flat_cumulant,
     empirical_cumulant,
-    poisson_moment,
     raw_moments_to_cumulants,
 )
+from poissonize.distributions import SeededRng, poisson_moment
 
 
 def brute_force_tensor(mixing, source_cumulants, ell):
@@ -156,28 +155,6 @@ class TestMomentAccumulator:
             pieces.update(data[start : start + 100])
         for key in whole.keys:
             assert whole.moment(key) == pytest.approx(pieces.moment(key), rel=1e-13)
-
-    def test_merge_order_independent(self):
-        rng = SeededRng(11)
-        blocks = [rng.standard_normal((500, 2)) for _ in range(4)]
-
-        def accumulate(order):
-            merged = MomentAccumulator(2, 4)
-            for i in order:
-                part = MomentAccumulator(2, 4)
-                part.update(blocks[i])
-                merged.merge(part)
-            return merged
-
-        a = accumulate([0, 1, 2, 3])
-        b = accumulate([3, 1, 0, 2])
-        for key in a.keys:
-            assert a.moment(key) == pytest.approx(b.moment(key), rel=1e-12, abs=1e-12)
-
-    def test_merge_layout_mismatch_rejected(self):
-        a = MomentAccumulator(2, 3)
-        with pytest.raises(ValueError):
-            a.merge(MomentAccumulator(3, 3))
 
     def test_empty_chunk_is_noop(self):
         acc = MomentAccumulator(2, 2)

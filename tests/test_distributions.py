@@ -14,7 +14,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonize import (
+from poissonize.cumulants import raw_moments_to_cumulants
+from poissonize.distributions import (
     GmmParams,
     SeededRng,
     certified_tail_threshold,
@@ -23,7 +24,6 @@ from poissonize import (
     poisson_moment,
     poisson_pmf,
     poisson_tail_threshold,
-    raw_moments_to_cumulants,
     sample_gmm,
     stirling2,
     truncated_poisson_tv,

@@ -11,18 +11,17 @@ here keep their columns generically spread.
 import numpy as np
 import pytest
 
-from poissonize import (
+from poissonize.cumulants import analytic_ica_cumulant
+from poissonize.distributions import SeededRng
+from poissonize.ica import (
     DegenerateModelError,
     IcaEstimate,
     IllConditionedError,
-    SeededRng,
     align_columns,
-    analytic_ica_cumulant,
     estimate_cumulant_pair,
-    khatri_rao_power,
     recover_from_cumulants,
-    sigma_min,
 )
+from poissonize.tensor_linalg import khatri_rao_power, sigma_min
 
 
 def random_unit_columns(n, m, rng):
@@ -134,6 +133,18 @@ class TestRecoverFromCumulantsOracle:
         m0 = analytic_ica_cumulant(a, np.ones(3), 4).as_matrix()
         with pytest.raises(IllConditionedError):
             recover_from_cumulants(m0, np.zeros(3**5), 3, 4, SeededRng(18))
+
+    def test_single_source_has_no_gap_to_certify(self):
+        """One source leaves one eigenvalue: the estimate is accepted with an
+        infinite gap, and a NaN contraction is still refused."""
+        a = np.array([[0.6], [0.8]])
+        m0, k5 = oracle_pair(a, np.array([2.0]), 4)
+        est = recover_from_cumulants(m0, k5, 1, 4, SeededRng(19))
+        assert est.eigengap == np.inf
+        assert align_columns(est.columns, a)[2] < 1e-12
+        k5[0] = np.nan
+        with pytest.raises(IllConditionedError):
+            recover_from_cumulants(m0, k5, 1, 4, SeededRng(19))
 
     def test_odd_order_rejected(self):
         with pytest.raises(ValueError):
@@ -252,4 +263,4 @@ class TestUnderdeterminedIca:
 class TestIcaEstimate:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError):
-            IcaEstimate(columns=2.0 * np.eye(2), eigengap=0.1, order_used=4)
+            IcaEstimate(columns=2.0 * np.eye(2), eigengap=0.1)

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from poissonize import (
+from poissonize.distributions import GmmParams, SeededRng, certified_tail_threshold
+from poissonize.lowdim_hardness import (
     DegeneratePairError,
-    GmmParams,
-    IcaModel,
     KernelConditioningError,
     MixturePair,
     PointSet,
-    SeededRng,
     SignedMixture,
+    _mass_outside,
     build_close_pair,
     compute_fill,
     embed_as_ica,
@@ -26,10 +25,9 @@ from poissonize import (
     pair_to_json,
     pigeonhole_pair,
     random_points,
-    sample_approx_ica_batch,
     target_f,
 )
-from poissonize.lowdim_hardness import _mass_outside
+from poissonize.poissonization import IcaModel, sample_approx_ica_batch
 
 
 def unit_gaussian(center):
@@ -335,6 +333,7 @@ class TestEmbedAsIca:
         assert d_p.rates.size == d_q.rates.size
         for desc, gmm in ((d_p, pair.p), (d_q, pair.q)):
             assert desc.lam == pytest.approx(float(gmm.m))
+            assert desc.tau == certified_tail_threshold(1e-9, desc.lam)
             assert desc.rates.sum() == pytest.approx(desc.lam, abs=1e-12)
             assert desc.rates.min() > 0.0
             np.testing.assert_allclose(
@@ -358,17 +357,6 @@ class TestEmbedAsIca:
             d_p.to_gmm(), d_p.lam, d_p.tau, SeededRng(55), 64
         )
         assert draws.shape == (64, pair.p.n + 1)
-
-    def test_lemma_policy_gives_threshold_too(self):
-        pair = self.make_pair()
-        d_cert, _ = embed_as_ica(pair, tau_policy="certified")
-        d_lem, _ = embed_as_ica(pair, tau_policy="lemma")
-        assert d_cert.tau >= 1
-        assert d_lem.tau >= 1
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            embed_as_ica(self.make_pair(), tau_policy="guess")
 
     def test_zero_center_rejected(self):
         pair = MixturePair(

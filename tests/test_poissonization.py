@@ -12,20 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonize import (
+from poissonize.distributions import (
     GmmParams,
+    SeededRng,
+    certified_tail_threshold,
+    empirical_poisson_tv,
+    poisson_tail_threshold,
+    truncated_poisson_tv,
+)
+from poissonize.gmm_learner import MeanBounds
+from poissonize.poissonization import (
     IcaModel,
     MixtureSource,
-    SeededRng,
     SubroutineFailure,
     build_lifted_model,
-    certified_tail_threshold,
     compute_reduction_params,
-    empirical_poisson_tv,
     poisson_split,
-    poisson_tail_threshold,
     sample_approx_ica_batch,
-    truncated_poisson_tv,
     tv_gap,
 )
 
@@ -284,7 +287,10 @@ class TestSampleApproxIcaBatch:
 
 class TestComputeReductionParams:
     def default_params(self, **overrides):
-        kw = dict(n=6, m=6, d=4, delta=0.1, eps=0.25, w=1.0, u=2.0, r=0.5, b=0.1, sigma=0.1)
+        kw = dict(
+            covariance=0.01 * np.eye(6), m=6, d=4, delta=0.1, eps=0.25,
+            bounds=MeanBounds(w=1.0, u=2.0, r=0.5, b=0.1),
+        )
         kw.update(overrides)
         return compute_reduction_params(**kw)
 
@@ -300,19 +306,25 @@ class TestComputeReductionParams:
         assert p.tau > math.e * p.lam
 
     def test_tau_override_recorded(self):
-        p = self.default_params(tau_override=25.0)
+        p = self.default_params(tau=25)
         assert p.tau == 25.0
-        assert p.to_dict() == {"lambda": 6.0, "tau": 25.0}
+        assert isinstance(p.tau, float)
+
+    def test_sigma_is_the_largest_noise_eigenvalue(self):
+        """Only the covariance's largest eigenvalue and its size enter tau."""
+        rotation = np.linalg.qr(SeededRng(3).standard_normal((6, 6)))[0]
+        skewed = rotation @ np.diag([4.0, 1.0, 1.0, 0.0, 2.0, 3.0]) @ rotation.T
+        skewed = 0.5 * (skewed + skewed.T)
+        assert self.default_params(covariance=skewed).tau == pytest.approx(
+            self.default_params(covariance=4.0 * np.eye(6)).tau, rel=1e-12
+        )
+        assert self.default_params(covariance=4.0 * np.eye(6)).tau > self.default_params().tau
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
             self.default_params(d=3)
         with pytest.raises(ValueError):
             self.default_params(delta=0.0)
-        with pytest.raises(ValueError):
-            self.default_params(w=0.5)
-        with pytest.raises(ValueError):
-            self.default_params(b=-1.0)
 
     @given(
         delta=st.floats(min_value=1e-4, max_value=0.4),
@@ -321,7 +333,7 @@ class TestComputeReductionParams:
     @settings(max_examples=50, deadline=None)
     def test_schedule_invariants(self, delta, m):
         p = compute_reduction_params(
-            n=4, m=m, d=4, delta=delta, eps=0.2, w=2.0, u=1.5, r=0.3, b=0.05, sigma=0.2
+            0.04 * np.eye(4), m, 4, delta, 0.2, MeanBounds(w=2.0, u=1.5, r=0.3, b=0.05)
         )
         assert p.lam == float(m)
         assert p.tau > math.e * p.lam

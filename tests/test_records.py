@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from poissonize import TrialRecord, format_value, write_records, write_summary
+from poissonize.records import format_value, write_records, write_summary
 
 
 class TestFormatValue:
@@ -38,8 +38,8 @@ class TestWriteRecords:
     def test_header_and_rows(self, tmp_path):
         path = tmp_path / "records.csv"
         write_records(path, [
-            TrialRecord({"trial": 0, "value": 0.5, "passed": True}),
-            TrialRecord({"trial": 1, "value": 0.25, "passed": False}),
+            {"trial": 0, "value": 0.5, "passed": True},
+            {"trial": 1, "value": 0.25, "passed": False},
         ])
         lines = path.read_text().splitlines()
         assert lines[0] == "trial,value,passed"
@@ -48,7 +48,7 @@ class TestWriteRecords:
 
     def test_unix_line_endings_everywhere(self, tmp_path):
         path = tmp_path / "records.csv"
-        write_records(path, [TrialRecord({"a": 1})])
+        write_records(path, [{"a": 1}])
         assert b"\r" not in path.read_bytes()
 
     def test_explicit_column_order_wins(self, tmp_path):
@@ -72,7 +72,7 @@ class TestWriteRecords:
         assert (tmp_path / "r.csv").read_text() == "a,b\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        records = [TrialRecord({"x": 1.0 / 7.0, "n": 3, "ok": True})]
+        records = [{"x": 1.0 / 7.0, "n": 3, "ok": True}]
         write_records(tmp_path / "one.csv", records)
         write_records(tmp_path / "two.csv", records)
         assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()

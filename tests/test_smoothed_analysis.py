@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from poissonize import (
+from poissonize.distributions import SeededRng
+from poissonize.smoothed_analysis import (
     FAMILIES,
-    SeededRng,
     SmoothedTrial,
     base_matrix,
     run_smoothed,

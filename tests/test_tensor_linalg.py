@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonize import (
-    MomentAccumulator,
-    assemble_flat_cumulant,
+from poissonize.cumulants import MomentAccumulator, assemble_flat_cumulant
+from poissonize.tensor_linalg import (
     khatri_rao,
     khatri_rao_power,
     multilinear_kr_square,
