@@ -16,7 +16,6 @@ from .cumulants import analytic_ica_cumulant, empirical_cumulant
 from .distributions import (
     GmmParams,
     SeededRng,
-    certified_tail_threshold,
     empirical_poisson_tv,
     truncated_poisson_tv,
 )

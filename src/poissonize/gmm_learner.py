@@ -4,7 +4,9 @@ learn_means drives the full chain: parameter schedule, truncated Poissonized
 sampling, streaming cumulant estimation, simultaneous diagonalization, and
 the unlift (divide each recovered column by its last entry, which also
 cancels the ICA sign ambiguity).  Weights are recovered afterwards from the
-order-3 cumulant of the unlifted coordinates of the same stream.
+order-3 cumulant of all lifted coordinates of the same stream, against the
+lifted means (mu_i, 1): the count coordinate's own cumulant pins the weights'
+sum, so an error in the unlifted means is not amplified into it.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, samples_used, d
 
     Diagonalizes (m0, k_next), unlifts the columns into means, recovers and
     clips the weights when ``flat_weights`` (the order-3 cumulant of the
-    unlifted coordinates) is given, and scores the result against ``truth``
+    lifted coordinates) is given, and scores the result against ``truth``
     when one is given.
     """
     estimate = recover_from_cumulants(m0, k_next, m, d, rng)
@@ -168,7 +170,8 @@ def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, samples_used, d
 
     weights = None
     if flat_weights is not None:
-        raw = recover_weights(means, params.lam, flat_weights)
+        lifted = np.vstack([means, np.ones((1, m))])
+        raw = recover_weights(lifted, params.lam, flat_weights)
         diagnostics["weights_clipped"] = bool(np.any(raw < -_WEIGHT_CLIP_TOL))
         weights = np.clip(raw, 0.0, None)
         diagnostics["weight_sum"] = float(weights.sum())
@@ -228,7 +231,6 @@ def learn_means(
             truth = source
     elif not isinstance(source, MixtureSource):
         raise TypeError("source must be GmmParams or MixtureSource")
-    n = source.covariance.shape[0]
     params = compute_reduction_params(source.covariance, m, d, delta, eps, bounds, tau)
     gap = tv_gap(params.lam, params.tau, samples)
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
@@ -259,7 +261,7 @@ def learn_means(
         )
 
     flat_weights = (
-        assemble_flat_cumulant(acc, _WEIGHT_ORDER, coordinates=range(n))
+        assemble_flat_cumulant(acc, _WEIGHT_ORDER)
         if with_weights
         else None
     )
@@ -283,7 +285,10 @@ def learn_means_oracle(gmm, d, rng, delta=0.1, eps=0.1, bounds=None, tau=None, w
     m0 = analytic_ica_cumulant(model.mixing, cum_d, d).as_matrix()
     k_next = analytic_ica_cumulant(model.mixing, cum_next, d + 1).data
     flat_weights = (
-        analytic_ica_cumulant(gmm.means, gmm.weights * params.lam, _WEIGHT_ORDER)
+        analytic_ica_cumulant(
+            np.vstack([gmm.means, np.ones((1, gmm.m))]), gmm.weights * params.lam,
+            _WEIGHT_ORDER,
+        )
         if with_weights
         else None
     )

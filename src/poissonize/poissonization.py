@@ -1,10 +1,15 @@
 """Reduction from mixture sampling to an approximate noisy ICA model.
 
-A mixture sample batch is Poissonized: draw R ~ Poisson(lambda), sum R
-lifted mixture draws, and add Gaussian noise N(0, (tau - R) Sigma') so the
-total noise level is the same for every accepted sample.  Conditioned on
-R <= tau the output is an approximate ICA model whose sources are scaled
-Poisson variables; a draw with R > tau aborts the whole run.
+A Poissonized row has one law: with independent counts S_i ~ Poisson(w_i
+lambda) and R = sum_i S_i, it is [mu; 1] S + N(0, tau Sigma'), a linear map
+of a product distribution plus noise of the same level on every accepted
+row.  Conditioned on R <= tau it is an approximate ICA model whose sources
+are scaled Poisson variables; a row with R > tau aborts the whole run.
+
+A known mixture (GmmParams) is sampled in that direct form.  A black-box
+MixtureSource is the paper's reduction: draw R ~ Poisson(lambda), sum R
+lifted mixture draws and top the noise up with N(0, (tau - R) Sigma').  By
+the splitting property of the Poisson law both give the same rows in law.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GmmParams, _psd_factor, sample_gmm, truncated_poisson_tv
+from .distributions import GmmParams, _psd_factor, truncated_poisson_tv
 
 __all__ = [
     "SubroutineFailure",
@@ -84,13 +89,6 @@ class MixtureSource:
         self.covariance = np.asarray(self.covariance, dtype=float)
         if self.covariance.ndim != 2 or self.covariance.shape[0] != self.covariance.shape[1]:
             raise ValueError("covariance must be square")
-
-
-def _as_source(source):
-    """(draw, covariance) pair from a GmmParams or MixtureSource."""
-    if isinstance(source, GmmParams):
-        return (lambda count, rng: sample_gmm(source, count, rng)), source.covariance
-    return source.draw, source.covariance
 
 
 @dataclass
@@ -168,13 +166,15 @@ def build_lifted_model(gmm, lam, tau):
 def sample_approx_ica_batch(source, lam, tau, rng, count):
     """Poissonized draws in R^(n+1), shape (count, n + 1).
 
-    Each row draws R ~ Poisson(lambda) and is
-    sum_{j<=R} (Z_j, 1) + eta' with eta' ~ N(0, (tau - R) Sigma'); its last
-    coordinate is exactly R, and any R > tau raises SubroutineFailure.  The
-    first n coordinates are the basic ICA observation X = A S + eta(tau): the
-    sum of R mixture draws already carries noise eta(R), and the top-up term
-    eta(tau - R) completes it to eta(tau).  The inner sums are grouped by
-    repetition count.  ``source`` is a GmmParams or MixtureSource.
+    Every row is [mu; 1] S + eta(tau) with independent S_i ~ Poisson(w_i
+    lambda) and eta(tau) ~ N(0, tau Sigma'); its last coordinate is exactly
+    R = sum_i S_i, and any R > tau raises SubroutineFailure.  The first n
+    coordinates are the basic ICA observation X = A S + eta(tau).
+
+    A GmmParams ``source`` is sampled in this direct form.  A MixtureSource
+    is sampled as the black-box reduction: R ~ Poisson(lambda), the sum of R
+    mixture draws, which carries noise eta(R), and a top-up term
+    eta(tau - R); its inner sums are grouped by repetition count.
     """
     lam = float(lam)
     count = int(count)
@@ -184,8 +184,31 @@ def sample_approx_ica_batch(source, lam, tau, rng, count):
         raise ValueError("tau must exceed e * lambda")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    draw, covariance = _as_source(source)
-    n = covariance.shape[0]
+    if isinstance(source, GmmParams):
+        return _sample_direct(source, lam, tau, rng, count)
+    return _sample_grouped(source, lam, tau, rng, count)
+
+
+def _sample_direct(gmm, lam, tau, rng, count):
+    n = gmm.n
+    if count == 0:
+        return np.empty((0, n + 1))
+    counts = np.column_stack([rng.poisson(w * lam, count) for w in gmm.weights])
+    worst = int(counts.sum(axis=1).max())
+    if worst > tau:
+        raise SubroutineFailure(worst, tau)
+    out = counts @ np.vstack([gmm.means, np.ones(gmm.m)]).T
+    factor = _psd_factor(gmm.covariance)
+    if np.any(factor):
+        # a zero last column keeps the count coordinate exact
+        noise_map = np.zeros((n, n + 1))
+        noise_map[:, :n] = math.sqrt(tau) * factor.T
+        out += rng.standard_normal((count, n)) @ noise_map
+    return out
+
+
+def _sample_grouped(source, lam, tau, rng, count):
+    n = source.covariance.shape[0]
     out = np.zeros((count, n + 1))
     if count == 0:
         return out
@@ -198,10 +221,10 @@ def sample_approx_ica_batch(source, lam, tau, rng, count):
         if value == 0:
             continue
         idx = np.nonzero(reps == value)[0]
-        pts = np.asarray(draw(idx.size * value, rng), dtype=float)
+        pts = np.asarray(source.draw(idx.size * value, rng), dtype=float)
         out[idx, :n] = pts.reshape(idx.size, value, n).sum(axis=1)
         out[idx, n] = float(value)
-    factor = _psd_factor(covariance)
+    factor = _psd_factor(source.covariance)
     if np.any(factor):
         eta = rng.standard_normal((count, n)) @ factor.T
         out[:, :n] += np.sqrt(tau - reps)[:, None] * eta
@@ -240,7 +263,8 @@ def compute_reduction_params(covariance, m, d, delta, eps, bounds, tau=None):
     ``bounds`` is a :class:`~poissonize.gmm_learner.MeanBounds`, checked when
     it was built: w >= w_max/w_min >= 1, u >= max ||mu_i||, r a positive
     separation parameter, b a positive conditioning floor.  sigma^2 is the
-    largest eigenvalue of the covariance.
+    largest eigenvalue of the covariance.  Like the other factors, log(1/eps)
+    is clamped at zero, so an eps above 1 schedules like eps = 1.
     """
     covariance = np.asarray(covariance, dtype=float)
     n = covariance.shape[0]
@@ -268,7 +292,7 @@ def compute_reduction_params(covariance, m, d, delta, eps, bounds, tau=None):
         )
         + (d2 * _log_plus(sigma) if sigma > 0 else 0.0)
         + d * _log_plus(1.0 / bounds.b)
-        + math.log(1.0 / eps)
+        + _log_plus(1.0 / eps)
         + math.log(1.0 / half_delta)
     )
     if tau is None:

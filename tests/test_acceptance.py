@@ -19,7 +19,6 @@ from poissonize import (
     align_columns,
     analytic_ica_cumulant,
     build_close_pair,
-    certified_tail_threshold,
     derive_bounds,
     embed_as_ica,
     empirical_cumulant,

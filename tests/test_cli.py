@@ -122,6 +122,20 @@ class TestLearnCommand:
         assert all(row["eigengap"] == "inf" for row in rows)
         assert all(float(row["aligned_error"]) < 0.1 for row in rows)
 
+    def test_schedule_with_large_eps_runs(self, tmp_path):
+        """An eps above 1 schedules like eps = 1, so the scheduled tau still
+        exceeds e * m and the trial runs instead of ending in a traceback."""
+        cfg = write_config(tmp_path, {
+            "tau": "schedule", "eps": 1e40, "samples": 2000,
+            "generator": {"n": 2, "m": 2},
+        })
+        out = tmp_path / "out"
+        proc = run_module("learn", "--config", cfg, "--out", str(out))
+        assert proc.returncode in (0, 2), proc.stderr
+        assert "Traceback" not in proc.stderr
+        (row,) = read_rows(out)
+        assert float(row["tau"]) > math.e * 2
+
     def test_degenerate_model_fails_as_modeled(self, tmp_path):
         """Four 1-D means give a rank-deficient order-4 cumulant: the trial
         fails with exit 2 and a recorded reason, not a traceback."""

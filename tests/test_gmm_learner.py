@@ -121,6 +121,25 @@ class TestLearnMeans:
         assert rep.diagnostics["weight_max_error"] < 0.05
         assert abs(rep.diagnostics["weight_sum"] - 1.0) < 0.05
 
+    def test_weight_sum_stays_near_one_across_trials(self):
+        """Weights are read against the lifted means (mu_i, 1), whose count
+        coordinate pins their sum, so a trial's error in the unlifted means
+        does not carry into it.  Read against the unlifted means alone, the
+        sum missed 1 by more than 0.6 in one of these ten trials."""
+        gmm = GmmParams(
+            np.array([[1.0, -0.5, 0.2], [0.3, 1.2, -1.1]]),
+            np.array([0.2, 0.3, 0.5]),
+            0.01 * np.eye(2),
+        )
+        misses = [
+            abs(learn_means(
+                gmm, 3, 4, 1e-6, 0.25, derive_bounds(gmm, 4), SeededRng(seed),
+                200_000, tau=30,
+            ).diagnostics["weight_sum"] - 1.0)
+            for seed in range(40, 50)
+        ]
+        assert max(misses) < 0.1
+
     def test_truncation_abort_reports_failed_run(self):
         """tau = 6 at lambda = 2 leaves a fat tail; the subroutine aborts
         and the report carries no means."""

@@ -18,6 +18,7 @@ from poissonize.distributions import (
     certified_tail_threshold,
     empirical_poisson_tv,
     poisson_tail_threshold,
+    sample_gmm,
     truncated_poisson_tv,
 )
 from poissonize.gmm_learner import MeanBounds
@@ -285,6 +286,103 @@ class TestSampleApproxIcaBatch:
         np.testing.assert_array_equal(counts, np.round(counts))
 
 
+def black_box(gmm):
+    """The same mixture behind the black-box interface: draws only."""
+    return MixtureSource(
+        draw=lambda count, rng: sample_gmm(gmm, count, rng),
+        covariance=gmm.covariance,
+    )
+
+
+def projected_cumulants(rows, direction, batches=40):
+    """Orders 1..5 cumulants of rows @ direction, and their batch-means
+    standard errors."""
+
+    def cumulants(y):
+        c = y - y.mean()
+        m2, m3, m4, m5 = (np.mean(c**k) for k in (2, 3, 4, 5))
+        return np.array([y.mean(), m2, m3, m4 - 3 * m2**2, m5 - 10 * m3 * m2])
+
+    y = rows @ direction
+    per_batch = np.array([cumulants(part) for part in np.array_split(y, batches)])
+    return cumulants(y), per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
+
+
+class TestSamplersAgree:
+    """The direct form for a known mixture and the black-box reduction for
+    the same mixture draw rows of one law."""
+
+    LAM, TAU, ROWS = 3.0, 30, 300_000
+
+    @pytest.fixture(scope="class")
+    def gmm(self):
+        means = np.array([[1.0, -0.5, 0.2], [0.3, 1.0, -0.8]])
+        covariance = 0.05 * np.array([[1.0, 0.6], [0.6, 0.8]])
+        return GmmParams(means, np.array([0.5, 0.3, 0.2]), covariance)
+
+    @pytest.fixture(scope="class")
+    def rows(self, gmm):
+        direct = sample_approx_ica_batch(gmm, self.LAM, self.TAU, SeededRng(20), self.ROWS)
+        grouped = sample_approx_ica_batch(
+            black_box(gmm), self.LAM, self.TAU, SeededRng(21), self.ROWS
+        )
+        return direct, grouped
+
+    def test_projected_cumulants_agree_with_each_other_and_the_law(self, gmm, rows):
+        """Orders 1 and 2 along the axes and their pairwise sums pin down the
+        mean and the covariance; orders 3..5 are checked along those and two
+        generic directions."""
+        lifted = np.vstack([gmm.means, np.ones((1, gmm.m))])
+        noise = np.zeros((3, 3))
+        noise[:2, :2] = gmm.covariance
+        eye = np.eye(3)
+        directions = [*eye, eye[0] + eye[1], eye[0] + eye[2], eye[1] + eye[2],
+                      np.array([0.6, -0.8, 0.3]), np.array([0.5, 0.5, -0.7])]
+        direct, grouped = rows
+        for u in directions:
+            projected = u @ lifted
+            exact = np.array([
+                self.LAM * float(np.sum(gmm.weights * projected**k)) for k in range(1, 6)
+            ])
+            exact[1] += self.TAU * float(u @ noise @ u)
+            got_a, se_a = projected_cumulants(direct, u)
+            got_b, se_b = projected_cumulants(grouped, u)
+            assert np.all(np.abs(got_a - exact) < 5 * se_a), (u, got_a, exact)
+            assert np.all(np.abs(got_b - exact) < 5 * se_b), (u, got_b, exact)
+            assert np.all(np.abs(got_a - got_b) < 5 * np.hypot(se_a, se_b)), (u, got_a, got_b)
+
+    def test_count_coordinate_law_agrees(self, rows):
+        direct, grouped = rows
+        laws = []
+        for out in (direct, grouped):
+            counts = out[:, -1]
+            np.testing.assert_array_equal(counts, np.round(counts))
+            assert 0 <= counts.min() and counts.max() <= self.TAU
+            assert empirical_poisson_tv(counts.astype(int), self.LAM) < 0.01
+            laws.append(np.bincount(counts.astype(int), minlength=self.TAU + 1) / self.ROWS)
+        assert 0.5 * np.abs(laws[0] - laws[1]).sum() < 0.01
+
+    def test_both_abort_on_overflow(self):
+        for source in (toy_gmm(), black_box(toy_gmm())):
+            with pytest.raises(SubroutineFailure) as info:
+                sample_approx_ica_batch(source, 3.0, 9, SeededRng(12), 10_000)
+            assert info.value.count > 9
+
+    def test_direct_count_coordinate_is_the_sum_of_its_counts(self):
+        """With Sigma = 0 and integer means of full rank, each direct row
+        gives back its integer component counts, and the last coordinate
+        is exactly their sum."""
+        means = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 3.0]])
+        gmm = GmmParams(means, np.array([0.2, 0.3, 0.5]), np.zeros((3, 3)))
+        out = sample_approx_ica_batch(gmm, 3.0, 30, SeededRng(22), 20_000)
+        counts = np.linalg.solve(means, out[:, :3].T).T
+        rounded = np.round(counts)
+        np.testing.assert_allclose(counts, rounded, atol=1e-9)
+        assert rounded.min() >= 0
+        np.testing.assert_array_equal(out[:, 3], rounded.sum(axis=1))
+        assert out[:, 3].max() > 0
+
+
 class TestComputeReductionParams:
     def default_params(self, **overrides):
         kw = dict(
@@ -319,6 +417,19 @@ class TestComputeReductionParams:
             self.default_params(covariance=4.0 * np.eye(6)).tau, rel=1e-12
         )
         assert self.default_params(covariance=4.0 * np.eye(6)).tau > self.default_params().tau
+
+    def test_eps_above_one_schedules_like_one(self):
+        """log(1/eps) is clamped like the other factors, so tau stays above
+        e * lambda however large eps is."""
+        at_one = self.default_params(eps=1.0).tau
+        for eps in (2.0, 1e40):
+            p = self.default_params(eps=eps)
+            assert p.tau == at_one
+            assert p.tau > math.e * 6
+        small = compute_reduction_params(
+            np.zeros((1, 1)), 1, 2, 0.99, 1e300, MeanBounds(w=1.0, u=1.0, r=1.0, b=1.0)
+        )
+        assert small.tau > math.e * small.lam
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
