@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .lowdim_hardness import (
 )
 from .poissonization import poisson_split
 from .records import write_records, write_summary
-from .smoothed_analysis import FAMILIES, run_smoothed
+from .smoothed_analysis import FAMILIES, SmoothedTrial, run_smoothed
 from .tensor_linalg import khatri_rao_power, sigma_min
 
 __all__ = ["main", "UsageError"]
@@ -78,6 +79,8 @@ def _load_config(path):
 
 
 def _check_keys(config, allowed, where="config"):
+    if not isinstance(config, dict):
+        raise UsageError(f"bad config value: {where} must be a JSON object")
     unknown = sorted(set(config) - set(allowed))
     if unknown:
         raise UsageError(f"unknown {where} keys: {', '.join(unknown)}")
@@ -94,8 +97,19 @@ def _config_values():
     command resolves its config, before any trial, as a usage error."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad config value: {exc}") from None
+
+
+def _array(config, key, default):
+    """A list-valued config value: a JSON array, or ``default`` when the key
+    is absent.  A string is refused, not read as a list of characters."""
+    if key not in config:
+        return list(default)
+    value = config[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON array, got {value!r}")
+    return value
 
 
 def _count(value, name):
@@ -198,18 +212,27 @@ def _cmd_learn(config, out_dir):
             noise = generator["noise"]
             _require(noise >= 0.0,
                      f"bad config value: generator noise must be nonnegative, got {noise}")
+            low, high = generator["norm_low"], generator["norm_high"]
+            _require(0.0 < low <= high < math.inf,
+                     "bad config value: need 0 < generator norm_low <= norm_high, "
+                     f"got {low} and {high}")
 
     fixed_gmm = None
     if "gmm" in config:
         _check_keys(config["gmm"], {"means", "weights", "covariance"}, where="gmm")
         with _config_values():
             fixed_gmm = _gmm_from_config(config["gmm"])
+    # the Poisson rate lambda is the component count m
+    components = fixed_gmm.m if fixed_gmm is not None else generator["m"]
     if fixed_tau is not None:
-        # the Poisson rate lambda is the component count m
-        components = fixed_gmm.m if fixed_gmm is not None else generator["m"]
         _require(math.isfinite(fixed_tau) and fixed_tau > math.e * components,
                  "bad config value: tau must be finite and exceed "
                  f"e * m = {math.e * components:.6g}, got {fixed_tau}")
+    tau = fixed_tau
+    if tau_setting == "certified":
+        # one cutoff for every trial: it depends on delta, samples and m only
+        with _config_values():
+            tau = certified_tail_threshold(0.5 * delta / samples, float(components))
 
     resolved = {
         "d": d, "delta": delta, "eps": eps, "samples": samples,
@@ -246,11 +269,6 @@ def _cmd_learn(config, out_dir):
                 np.full(m, 1.0 / m),
                 generator["noise"] * np.eye(generator["n"]),
             )
-        bounds = fixed_bounds if fixed_bounds is not None else derive_bounds(gmm, d)
-        if tau_setting == "certified":
-            tau = certified_tail_threshold(0.5 * delta / samples, float(gmm.m))
-        else:
-            tau = fixed_tau
         started = time.perf_counter()
         row = {
             "trial": trial, "seed": rng.seed, "failed": False, "reason": "",
@@ -259,6 +277,7 @@ def _cmd_learn(config, out_dir):
             "samples_used": 0,
         }
         try:
+            bounds = fixed_bounds if fixed_bounds is not None else derive_bounds(gmm, d)
             report = learn_means(
                 gmm, gmm.m, d, delta, eps, bounds, rng, samples,
                 tau=tau, with_weights=with_weights, chunk=chunk,
@@ -301,17 +320,11 @@ def _cmd_learn(config, out_dir):
 # smoothed
 # ---------------------------------------------------------------------------
 
-_SMOOTHED_COLUMNS = [
-    "family", "n", "sigma", "seed",
-    "sigma_min_kr2", "sigma_min_kr_odot2", "bound", "passed",
-]
-
-
 def _cmd_smoothed(config, out_dir):
     allowed = {"families", "n", "sigma", "trials", "seed", "out"}
     _check_keys(config, allowed)
     with _config_values():
-        families = list(config.get("families", FAMILIES))
+        families = _array(config, "families", FAMILIES)
         unknown = sorted(set(families) - set(FAMILIES))
         _require(not unknown, f"unknown families: {', '.join(unknown)}")
         n = int(config.get("n", 10))
@@ -325,7 +338,7 @@ def _cmd_smoothed(config, out_dir):
         "trials": trials, "seed": seed,
     }
     results = run_smoothed(families, n, sigma, trials, SeededRng(seed))
-    records = [r.to_dict() for r in results]
+    records = [asdict(r) for r in results]
     per_family = {
         family: sum(1 for r in results if r.family == family and r.passed)
         for family in families
@@ -337,7 +350,8 @@ def _cmd_smoothed(config, out_dir):
             all(r.sigma_min_kr_odot2 >= r.sigma_min_kr2 for r in results)
         ),
     }
-    return records, _SMOOTHED_COLUMNS, resolved, extra, 0
+    columns = [f.name for f in fields(SmoothedTrial)]
+    return records, columns, resolved, extra, 0
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +373,7 @@ def _cmd_hardness(config, out_dir):
     status = 0
     if mode == "decay":
         with _config_values():
-            h_values = [float(h) for h in config.get("h_values", [0.1, 0.05, 0.025])]
+            h_values = [float(h) for h in _array(config, "h_values", [0.1, 0.05, 0.025])]
             if not h_values:
                 raise ValueError("h_values must not be empty")
             designs = [equispaced_interleaved(h) for h in h_values]
@@ -521,7 +535,7 @@ def _cmd_reduction_check(config, out_dir):
     with _config_values():
         lam = float(config.get("lam", 5.0))
         _require(lam > 0.0, f"bad config value: lam must be positive, got {lam}")
-        probs = [float(p) for p in config.get("probs", [0.2, 0.3, 0.5])]
+        probs = [float(p) for p in _array(config, "probs", [0.2, 0.3, 0.5])]
         _require(probs, "bad config value: probs must not be empty")
         _require(min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= 1e-12,
                  f"bad config value: probs must be nonnegative and sum to 1, got {probs}")
@@ -531,8 +545,8 @@ def _cmd_reduction_check(config, out_dir):
                  f"bad config value: delta must lie in (0, 1), got {delta}")
         marginal_tol = float(config.get("marginal_tol", 0.02))
         corr_tol = float(config.get("corr_tol", 0.02))
-        grid_lams = [float(v) for v in config.get("grid_lams", range(1, 9))]
-        grid_taus = [int(v) for v in config.get("grid_taus", range(0, 21))]
+        grid_lams = [float(v) for v in _array(config, "grid_lams", range(1, 9))]
+        grid_taus = [int(v) for v in _array(config, "grid_taus", range(0, 21))]
         _require(grid_lams and grid_taus,
                  "bad config value: grid_lams and grid_taus must not be empty")
         _require(min(grid_lams) >= 0.0,

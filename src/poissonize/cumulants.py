@@ -139,16 +139,11 @@ class MomentAccumulator:
         self.shift = np.asarray(shift, dtype=float).copy()
         if self.shift.shape != (self.dim,):
             raise ValueError("shift must have one entry per coordinate")
-        self.keys = []
-        stack = [()]
-        while stack:
-            node = stack.pop()
-            if node:
-                self.keys.append(node)
-            if len(node) < self.order:
-                start = node[-1] if node else 0
-                for i in reversed(range(start, self.dim)):
-                    stack.append(node + (i,))
+        self.keys = [
+            key
+            for k in range(1, self.order + 1)
+            for key in combinations_with_replacement(range(self.dim), k)
+        ]
         self.position = {key: idx for idx, key in enumerate(self.keys)}
         self.sums = np.zeros(len(self.keys))
         self.comps = np.zeros(len(self.keys))

@@ -26,8 +26,8 @@ from .ica import (
 from .poissonization import (
     MixtureSource,
     SubroutineFailure,
-    build_lifted_model,
     compute_reduction_params,
+    lift,
     sample_approx_ica_batch,
     tv_gap,
 )
@@ -78,24 +78,29 @@ class MeanBounds:
 def lifted_conditioning(gmm, d):
     """sigma_m of the (d/2)-fold Khatri-Rao power of the normalized lifted
     means; the quantity the pipeline's conditioning hypothesis bounds."""
-    lifted = np.vstack([gmm.means, np.ones((1, gmm.m))])
+    lifted = lift(gmm.means)
     normalized = lifted / np.linalg.norm(lifted, axis=0)
     return sigma_min(khatri_rao_power(normalized, d // 2))
 
 
 def derive_bounds(gmm, d):
     """Bounds that a known mixture satisfies; the conditioning floor is
-    0.99 of the measured value."""
+    0.99 of the measured value.  The norm and separation bounds are floored
+    at 1e-12, so means at the origin and coincident means still give valid
+    bounds; a measured conditioning of 0 raises FeasibilityError."""
     norms = np.linalg.norm(gmm.means, axis=0)
     diffs = gmm.means[:, :, None] - gmm.means[:, None, :]
     dist = np.linalg.norm(diffs, axis=0)
     iu = np.triu_indices(gmm.m, k=1)
     separation = float(dist[iu].min()) if iu[0].size else 1.0
+    conditioning = float(lifted_conditioning(gmm, d))
+    if not conditioning > 0.0:
+        raise FeasibilityError("sigma_m of the lifted Khatri-Rao power is 0")
     return MeanBounds(
         w=float(gmm.weights.max() / gmm.weights.min()),
-        u=float(norms.max()),
+        u=max(float(norms.max()), 1e-12),
         r=max(separation, 1e-12),
-        b=float(lifted_conditioning(gmm, d)) * 0.99,
+        b=conditioning * 0.99,
     )
 
 
@@ -170,8 +175,7 @@ def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, samples_used, d
 
     weights = None
     if flat_weights is not None:
-        lifted = np.vstack([means, np.ones((1, m))])
-        raw = recover_weights(lifted, params.lam, flat_weights)
+        raw = recover_weights(lift(means), params.lam, flat_weights)
         diagnostics["weights_clipped"] = bool(np.any(raw < -_WEIGHT_CLIP_TOL))
         weights = np.clip(raw, 0.0, None)
         diagnostics["weight_sum"] = float(weights.sum())
@@ -279,18 +283,14 @@ def learn_means_oracle(gmm, d, rng, delta=0.1, eps=0.1, bounds=None, tau=None, w
     if bounds is None:
         bounds = derive_bounds(gmm, d)
     params = compute_reduction_params(gmm.covariance, gmm.m, d, delta, eps, bounds, tau)
-    model = build_lifted_model(gmm, params.lam, params.tau)
-    cum_d = model.scales**d * model.rates
-    cum_next = model.scales ** (d + 1) * model.rates
-    m0 = analytic_ica_cumulant(model.mixing, cum_d, d).as_matrix()
-    k_next = analytic_ica_cumulant(model.mixing, cum_next, d + 1).data
+    # every cumulant of Poisson(w_i lambda) is w_i lambda, and Gaussian noise
+    # has none above order two
+    lifted = lift(gmm.means)
+    rates = gmm.weights * params.lam
+    m0 = analytic_ica_cumulant(lifted, rates, d).as_matrix()
+    k_next = analytic_ica_cumulant(lifted, rates, d + 1).data
     flat_weights = (
-        analytic_ica_cumulant(
-            np.vstack([gmm.means, np.ones((1, gmm.m))]), gmm.weights * params.lam,
-            _WEIGHT_ORDER,
-        )
-        if with_weights
-        else None
+        analytic_ica_cumulant(lifted, rates, _WEIGHT_ORDER) if with_weights else None
     )
     return _recover(
         m0, k_next, flat_weights, gmm.m, d, rng, params, gmm, 0, {"oracle": True}

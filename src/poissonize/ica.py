@@ -133,7 +133,9 @@ def recover_from_cumulants(m0, k_next, m, d, rng):
     evals, evecs = np.linalg.eigh(0.5 * (m0 + m0.T))
     order = np.argsort(evals)[::-1]
     top = evals[order[:m]]
-    threshold = _RANK_TOL * float(np.trace(m0))
+    # an estimated M0 can have a negative trace; whitening needs positive
+    # eigenvalues whatever the threshold
+    threshold = max(_RANK_TOL * float(np.trace(m0)), 0.0)
     if top[-1] <= threshold:
         raise DegenerateModelError(
             f"eigenvalue {top[-1]:.3e} of the flattened cumulant is below "

@@ -26,7 +26,7 @@ __all__ = [
     "MixtureSource",
     "poisson_split",
     "IcaModel",
-    "build_lifted_model",
+    "lift",
     "sample_approx_ica_batch",
     "ReductionParams",
     "compute_reduction_params",
@@ -96,8 +96,7 @@ class IcaModel:
     """Noisy ICA model X = mixing diag(scales) S + eta(tau) of a Poissonized
     mixture.
 
-    mixing : (n, m) unit columns, the normalized means of the mixture (or of
-        its lift, for :func:`build_lifted_model`).
+    mixing : (n, m) unit columns, the normalized means of the mixture.
     rates : Poisson rates w_i * lambda of the sources; they sum to lambda.
     scales : norms of those means; source i is scale_i * Poisson(rate_i).
     noise_covariance : (n, n) noise covariance of one mixture draw.
@@ -137,30 +136,11 @@ class IcaModel:
         )
 
 
-def build_lifted_model(gmm, lam, tau):
-    """Lifted ICA model of a Poissonized mixture, in dimension n + 1.
-
-    Columns of the mixing matrix are mu'_i / ||mu'_i|| with mu'_i = (mu_i, 1),
-    so its last row is strictly positive; source i is
-    ||mu'_i|| * Poisson(w_i * lambda).  The noise covariance has an exactly
-    zero last row and column (the count coordinate is noiseless).
-    """
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    n = gmm.n
-    lifted = np.vstack([gmm.means, np.ones((1, gmm.m))])
-    scales = np.linalg.norm(lifted, axis=0)
-    cov = np.zeros((n + 1, n + 1))
-    cov[:n, :n] = gmm.covariance
-    return IcaModel(
-        mixing=lifted / scales,
-        rates=gmm.weights * lam,
-        scales=scales,
-        noise_covariance=cov,
-        lam=lam,
-        tau=float(tau),
-    )
+def lift(means):
+    """The lifted means [mu; 1]: each column gets a constant last coordinate
+    1, the count coordinate of a Poissonized row.  Shape (n + 1, m)."""
+    means = np.asarray(means, dtype=float)
+    return np.vstack([means, np.ones((1, means.shape[1]))])
 
 
 def sample_approx_ica_batch(source, lam, tau, rng, count):
@@ -197,7 +177,7 @@ def _sample_direct(gmm, lam, tau, rng, count):
     worst = int(counts.sum(axis=1).max())
     if worst > tau:
         raise SubroutineFailure(worst, tau)
-    out = counts @ np.vstack([gmm.means, np.ones(gmm.m)]).T
+    out = counts @ lift(gmm.means).T
     factor = _psd_factor(gmm.covariance)
     if np.any(factor):
         # a zero last column keeps the count coordinate exact

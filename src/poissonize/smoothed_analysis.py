@@ -50,18 +50,6 @@ class SmoothedTrial:
         if self.passed != (self.sigma_min_kr2 > self.bound):
             raise ValueError("passed flag contradicts the recorded values")
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "n": self.n,
-            "sigma": self.sigma,
-            "seed": self.seed,
-            "sigma_min_kr2": self.sigma_min_kr2,
-            "sigma_min_kr_odot2": self.sigma_min_kr_odot2,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
-
 
 def base_matrix(family, n, rng):
     """Base matrix of shape n x C(n,2) from one of the probe families.

@@ -121,11 +121,11 @@ def rank1_deflatten(v, n, p):
     """Best rank-one symmetric factor of a flattened order-``p`` tensor.
 
     Given ``v`` approximately proportional to the flattened tensor power
-    ``u**(tensor p)`` of some unit vector ``u``, return that unit vector.
-    For ``p == 2`` the ``n x n`` reshape is symmetrized and the eigenvector of
-    the largest-magnitude eigenvalue is taken; for ``p > 2`` the top left
-    singular vector of the ``n x n**(p-1)`` reshape is used.  The sign is
-    fixed so the largest-magnitude entry of the output is positive.
+    ``u**(tensor p)`` of some unit vector ``u``, return that unit vector: the
+    top left singular vector of the ``n x n**(p-1)`` reshape.  For a
+    symmetric tensor at ``p == 2`` that is the eigenvector of the
+    largest-magnitude eigenvalue.  The sign is fixed so the largest-magnitude
+    entry of the output is positive.
 
     Parameters
     ----------
@@ -146,18 +146,8 @@ def rank1_deflatten(v, n, p):
         raise ValueError(f"expected length {n**p}, got {v.size}")
     if not np.any(v):
         raise ValueError("zero tensor has no rank-one factor")
-    if p == 1:
-        u = v.copy()
-    elif p == 2:
-        mat = v.reshape(n, n)
-        mat = 0.5 * (mat + mat.T)
-        w, vecs = np.linalg.eigh(mat)
-        u = vecs[:, int(np.argmax(np.abs(w)))]
-    else:
-        mat = v.reshape(n, n ** (p - 1))
-        left, _, _ = np.linalg.svd(mat, full_matrices=False)
-        u = left[:, 0]
-    u = u / np.linalg.norm(u)
+    left, _, _ = np.linalg.svd(v.reshape(n, n ** (p - 1)), full_matrices=False)
+    u = left[:, 0] / np.linalg.norm(left[:, 0])
     k = int(np.argmax(np.abs(u)))
     if u[k] < 0:
         u = -u

@@ -8,9 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poissonize
 from poissonize.cli import main
@@ -155,6 +159,33 @@ class TestLearnCommand:
         assert row["reason"].startswith("DegenerateModelError: ")
         assert read_summary(out)["errors"] == [row["reason"]]
 
+    def test_mean_at_origin_succeeds(self, tmp_path):
+        """A mean at the origin has norm 0; the derived norm bound is floored
+        like the separation bound, and the trial runs."""
+        cfg = write_config(tmp_path, {
+            "gmm": {"means": [[0.0, 0.0]], "weights": [1.0],
+                    "covariance": [[0.01, 0.0], [0.0, 0.01]]},
+            "samples": 2000,
+        })
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["failed"] == "false"
+
+    def test_coincident_means_at_origin_fail_as_modeled(self, tmp_path):
+        """Two means at the origin give a lifted conditioning of 0: the trial
+        fails with exit 2 and a FeasibilityError reason."""
+        cfg = write_config(tmp_path, {
+            "gmm": {"means": [[0.0, 0.0], [0.0, 0.0]], "weights": [0.5, 0.5],
+                    "covariance": [[0.01, 0.0], [0.0, 0.01]]},
+            "samples": 2000,
+        })
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
+        (row,) = read_rows(out)
+        assert row["failed"] == "true"
+        assert row["reason"].startswith("FeasibilityError: ")
+
     def test_gmm_and_generator_conflict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TOY_LEARN, "generator": {"n": 3}})
         assert main(["learn", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -251,6 +282,24 @@ class TestConfigErrors:
          "tau must be finite and exceed e * m = 5.43656"),
         ("learn", {**TOY_LEARN, "tau": 5}, "tau must be finite and exceed e * m"),
         ("learn", {**TOY_LEARN, "tau": math.inf}, "tau must be finite"),
+        ("learn", {"samples": 2000, "generator": {"n": 2, "m": 2, "norm_low": 2,
+                                                   "norm_high": 1}},
+         "need 0 < generator norm_low <= norm_high, got 2.0 and 1.0"),
+        ("learn", {"samples": 2000, "generator": {"n": 2, "m": 2, "norm_low": 0,
+                                                   "norm_high": 0}},
+         "need 0 < generator norm_low <= norm_high"),
+        ("learn", {"samples": 2000, "generator": {"n": 2, "m": 2, "norm_low": -2,
+                                                   "norm_high": -1}},
+         "need 0 < generator norm_low <= norm_high"),
+        ("reduction-check", {"grid_lams": "12", "grid_taus": "34"},
+         "grid_lams must be a JSON array, got '12'"),
+        ("reduction-check", {"grid_taus": "34"}, "grid_taus must be a JSON array"),
+        ("reduction-check", {"probs": "1"}, "probs must be a JSON array"),
+        ("smoothed", {"families": "zero"}, "families must be a JSON array, got 'zero'"),
+        ("hardness", {"h_values": "0.1"}, "h_values must be a JSON array"),
+        ("learn", {"generator": [2, 2]}, "generator must be a JSON object"),
+        ("learn", {"samples": 10**400, "generator": {"n": 2, "m": 2}},
+         "int too large to convert to float"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -279,6 +328,74 @@ class TestConfigErrors:
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+_GRID = st.integers(-1, 1)
+_NORMS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def learn_configs(draw):
+    """Small `learn` configs whose mixtures come from an integer grid or
+    from generator norms that may be zero, negative or swapped, so means at
+    the origin and coincident means occur."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    noise = draw(st.sampled_from([0.0, 0.01]))
+    config = {
+        "d": draw(st.sampled_from([4, 6])),
+        "samples": draw(st.integers(1, 3000)),
+        "tau": draw(st.sampled_from(["certified", "schedule", 30])),
+        "with_weights": draw(st.booleans()),
+        "seed": draw(st.integers(0, 1000)),
+    }
+    if draw(st.booleans()):
+        config["generator"] = {
+            "n": n, "m": m, "noise": noise,
+            "norm_low": draw(_NORMS), "norm_high": draw(_NORMS),
+        }
+    else:
+        config["gmm"] = {
+            "means": [[draw(_GRID) for _ in range(n)] for _ in range(m)],
+            "weights": [1.0 / m] * m,
+            "covariance": (noise * np.eye(n)).tolist(),
+        }
+    return config
+
+
+@st.composite
+def reduction_check_configs(draw):
+    """Small `reduction-check` configs, valid and invalid values mixed."""
+    probs = draw(st.sampled_from([[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.5, 0.6], []]))
+    return {
+        "lam": draw(st.sampled_from([-1.0, 0.0, 0.1, 5.0, 30.0, 40.0])),
+        "probs": probs,
+        "samples": draw(st.integers(0, 500)),
+        "delta": draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0])),
+        "grid_lams": draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 40.0]), max_size=3)),
+        "grid_taus": draw(st.lists(st.integers(-1, 60), max_size=3)),
+        "seed": draw(st.integers(0, 1000)),
+    }
+
+
+class TestFuzzedConfigs:
+    """Every run ends in success (0), a usage error (1) or a modeled
+    failure (2), never in a traceback."""
+
+    @given(data=st.one_of(
+        st.tuples(st.just("learn"), learn_configs()),
+        st.tuples(st.just("reduction-check"), reduction_check_configs()),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_never_raises(self, data):
+        command, config = data
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "config.json")
+            with open(path, "w") as handle:
+                json.dump(config, handle)
+            status = main([command, "--config", path, "--out",
+                           os.path.join(directory, "out")])
+        assert status in (0, 1, 2)
 
 
 class TestSmoothedCommand:

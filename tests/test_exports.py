@@ -10,9 +10,11 @@ import poissonize
 
 
 def test_all_names_resolve_and_package_reexports_are_declared():
-    """Every name in a submodule's ``__all__`` exists, and every name the
-    package re-exports is in its home module's ``__all__``, so a deletion
-    that leaves an export behind fails here."""
+    """Every name in a submodule's ``__all__`` exists and, for a function or
+    class, is defined in that module rather than imported into it; every
+    name the package re-exports is in its home module's ``__all__``.  So a
+    deletion that leaves an export behind fails here, and so does a second
+    home for one name."""
     modules = {
         info.name: importlib.import_module(f"poissonize.{info.name}")
         for info in pkgutil.iter_modules(poissonize.__path__)
@@ -21,6 +23,12 @@ def test_all_names_resolve_and_package_reexports_are_declared():
     for module in modules.values():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names missing {missing}"
+        foreign = [
+            name for name in module.__all__
+            if getattr(getattr(module, name), "__module__", module.__name__)
+            != module.__name__
+        ]
+        assert not foreign, f"{module.__name__}.__all__ names imported {foreign}"
 
     tree = ast.parse(inspect.getsource(poissonize))
     reexports = [

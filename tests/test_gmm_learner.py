@@ -67,6 +67,18 @@ class TestDeriveBounds:
         gmm = toy_gmm()
         assert derive_bounds(gmm, 4).b == pytest.approx(0.99 * lifted_conditioning(gmm, 4))
 
+    def test_mean_at_origin_floors_the_norm_bound(self):
+        gmm = GmmParams(np.zeros((2, 1)), np.array([1.0]), 0.01 * np.eye(2))
+        bounds = derive_bounds(gmm, 4)
+        assert bounds.u == 1e-12
+        assert bounds.b == pytest.approx(0.99)
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_zero_conditioning_is_infeasible(self, d):
+        gmm = GmmParams(np.zeros((2, 2)), np.array([0.5, 0.5]), 0.01 * np.eye(2))
+        with pytest.raises(FeasibilityError, match="is 0"):
+            derive_bounds(gmm, d)
+
 
 class TestLearnMeansOracle:
     def test_exact_recovery_of_means_and_weights(self):

@@ -126,6 +126,14 @@ class TestRecoverFromCumulantsOracle:
         with pytest.raises(DegenerateModelError):
             recover_from_cumulants(m0, k5, 3, 4, SeededRng(15))
 
+    def test_nonpositive_eigenvalue_rejected_under_negative_trace(self):
+        """An estimated M0 can have a negative trace, which puts the relative
+        rank threshold below zero; a top-m eigenvalue at or below zero still
+        cannot be whitened and is refused, not turned into NaNs."""
+        m0 = np.diag([1.0, -1e-12, -5.0, -5.0])
+        with pytest.raises(DegenerateModelError):
+            recover_from_cumulants(m0, np.ones(2**5), 2, 4, SeededRng(19))
+
     def test_vanishing_next_order_cumulants_rejected(self):
         """Sources with zero order-(d+1) cumulants give no contraction any
         eigenvalue spread; the solver must refuse rather than return noise."""

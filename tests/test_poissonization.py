@@ -26,8 +26,8 @@ from poissonize.poissonization import (
     IcaModel,
     MixtureSource,
     SubroutineFailure,
-    build_lifted_model,
     compute_reduction_params,
+    lift,
     poisson_split,
     sample_approx_ica_batch,
     tv_gap,
@@ -44,33 +44,30 @@ def one_draw(source, lam, tau, rng):
     return sample_approx_ica_batch(source, lam, tau, rng, 1)[0]
 
 
-def lifted_means(means):
-    """The lifted means (mu_i, 1) as build_lifted_model forms them: its
-    mixing columns times their scales."""
-    means = np.asarray(means, dtype=float)
-    m = means.shape[1]
-    gmm = GmmParams(means, np.full(m, 1.0 / m), np.zeros((means.shape[0],) * 2))
-    model = build_lifted_model(gmm, 1.0, 10)
-    return model.mixing * model.scales
-
-
 class TestLift:
     def test_zero_vector(self):
         np.testing.assert_array_equal(
-            lifted_means(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))[:, 0],
+            lift(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]))[:, 0],
             [0.0, 0.0, 0.0, 1.0],
         )
 
     def test_norm_relation(self):
         x = np.array([3.0, 4.0])
-        lifted = lifted_means(np.column_stack([x, -x]))
+        lifted = lift(np.column_stack([x, -x]))
         assert np.linalg.norm(lifted[:, 0]) ** 2 == pytest.approx(
             np.linalg.norm(x) ** 2 + 1.0
         )
 
     def test_injective_on_distinct_inputs(self):
-        lifted = lifted_means(np.array([[1.0, 1.0], [2.0, 2.5]]))
+        lifted = lift(np.array([[1.0, 1.0], [2.0, 2.5]]))
         assert not np.array_equal(lifted[:, 0], lifted[:, 1])
+
+    def test_appends_a_last_row_of_ones(self):
+        means = toy_gmm().means
+        lifted = lift(means)
+        assert lifted.shape == (3, 2)
+        np.testing.assert_array_equal(lifted[:2], means)
+        np.testing.assert_array_equal(lifted[2], [1.0, 1.0])
 
 
 class TestPoissonSplit:
@@ -110,31 +107,7 @@ class TestPoissonSplit:
             poisson_split(1.0, [1.2, -0.2], SeededRng(0), 10)
 
 
-class TestBuildLiftedModel:
-    def test_columns_unit_norm_with_positive_last_row(self):
-        model = build_lifted_model(toy_gmm(), 2.0, 10)
-        norms = np.linalg.norm(model.mixing, axis=0)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        assert np.all(model.mixing[-1, :] > 0)
-
-    def test_scales_are_lifted_norms(self):
-        model = build_lifted_model(toy_gmm(), 2.0, 10)
-        np.testing.assert_allclose(model.scales, [math.sqrt(5), math.sqrt(10)])
-
-    def test_rates_sum_to_lambda(self):
-        gmm = GmmParams(np.eye(3), np.array([0.2, 0.3, 0.5]), np.eye(3))
-        model = build_lifted_model(gmm, 3.0, 12)
-        np.testing.assert_allclose(model.rates, [0.6, 0.9, 1.5])
-        assert model.rates.sum() == pytest.approx(model.lam)
-
-    def test_covariance_zero_last_row_and_column(self):
-        model = build_lifted_model(toy_gmm(noise=0.3), 2.0, 10)
-        assert np.all(model.noise_covariance[-1, :] == 0)
-        assert np.all(model.noise_covariance[:, -1] == 0)
-        np.testing.assert_array_equal(
-            model.noise_covariance[:2, :2], 0.3 * np.eye(2)
-        )
-
+class TestIcaModel:
     def test_model_invariants_enforced(self):
         with pytest.raises(ValueError):
             IcaModel(
@@ -155,12 +128,20 @@ class TestBuildLiftedModel:
                 tau=10.0,
             )
 
-    def test_to_gmm_returns_lifted_mixture(self):
-        gmm = toy_gmm(noise=0.3)
-        back = build_lifted_model(gmm, 2.0, 10).to_gmm()
-        np.testing.assert_allclose(back.means[:2], gmm.means, atol=1e-12)
-        np.testing.assert_allclose(back.means[2], 1.0, atol=1e-12)
-        np.testing.assert_allclose(back.weights, gmm.weights, atol=1e-12)
+    def test_to_gmm_rebuilds_the_mixture(self):
+        mixing = np.array([[0.6, 0.0], [0.8, 1.0]])
+        model = IcaModel(
+            mixing=mixing,
+            rates=np.array([0.5, 1.5]),
+            scales=np.array([5.0, 2.0]),
+            noise_covariance=0.3 * np.eye(2),
+            lam=2.0,
+            tau=10.0,
+        )
+        back = model.to_gmm()
+        np.testing.assert_allclose(back.means, [[3.0, 0.0], [4.0, 2.0]], atol=1e-12)
+        np.testing.assert_allclose(back.weights, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_array_equal(back.covariance, 0.3 * np.eye(2))
 
 
 class TestSampleApproxIca:
@@ -332,7 +313,7 @@ class TestSamplersAgree:
         """Orders 1 and 2 along the axes and their pairwise sums pin down the
         mean and the covariance; orders 3..5 are checked along those and two
         generic directions."""
-        lifted = np.vstack([gmm.means, np.ones((1, gmm.m))])
+        lifted = lift(gmm.means)
         noise = np.zeros((3, 3))
         noise[:2, :2] = gmm.covariance
         eye = np.eye(3)

@@ -1,5 +1,7 @@
 """Perturbed Khatri-Rao conditioning trials and supporting inequalities."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -87,11 +89,12 @@ class TestSmoothedTrial:
 
     def test_round_trips_to_dict(self):
         trial = smoothed_trial(base_matrix("zero", 6, SeededRng(13)), 0.1, SeededRng(13))
-        d = trial.to_dict()
-        assert set(d) == {
+        d = asdict(trial)
+        assert list(d) == [
             "family", "n", "sigma", "seed",
             "sigma_min_kr2", "sigma_min_kr_odot2", "bound", "passed",
-        }
+        ]
+        assert SmoothedTrial(**d) == trial
 
 
 class TestRunSmoothed:
