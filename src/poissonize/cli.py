@@ -188,16 +188,18 @@ def _cmd_learn(config, out_dir):
         delta = float(config.get("delta", 0.1))
         _require(0.0 < delta < 1.0,
                  f"bad config value: delta must lie in (0, 1), got {delta}")
+        # eps is accepted and checked but has no effect
         eps = float(config.get("eps", 0.25))
         _require(eps > 0.0, f"bad config value: eps must be positive, got {eps}")
         samples = _count(config.get("samples", 1_000_000), "samples")
+        # the certified cutoff spends delta / (2 samples) on each draw
+        _require(delta / (2 * samples) > 0.0,
+                 f"bad config value: samples leave no truncation budget, got {samples}")
         with_weights = config.get("with_weights", True)
         if not isinstance(with_weights, bool):
             raise TypeError(f"with_weights must be true or false, got {with_weights!r}")
         chunk = _count(config.get("chunk", 1 << 17), "chunk")
-        fixed_tau = (
-            None if tau_setting in ("certified", "schedule") else float(tau_setting)
-        )
+        fixed_tau = None if tau_setting == "certified" else float(tau_setting)
 
     generator = dict(_GENERATOR_DEFAULTS)
     if "generator" in config:
@@ -228,14 +230,9 @@ def _cmd_learn(config, out_dir):
         _require(math.isfinite(fixed_tau) and fixed_tau > math.e * components,
                  "bad config value: tau must be finite and exceed "
                  f"e * m = {math.e * components:.6g}, got {fixed_tau}")
-    tau = fixed_tau
-    if tau_setting == "certified":
-        # one cutoff for every trial: it depends on delta, samples and m only
-        with _config_values():
-            tau = certified_tail_threshold(0.5 * delta / samples, float(components))
 
     resolved = {
-        "d": d, "delta": delta, "eps": eps, "samples": samples,
+        "d": d, "delta": delta, "samples": samples,
         "trials": trials, "seed": seed, "with_weights": with_weights,
         "tau": tau_setting, "chunk": chunk,
     }
@@ -244,7 +241,7 @@ def _cmd_learn(config, out_dir):
     )
     fixed_bounds = None
     if "bounds" in config:
-        _check_keys(config["bounds"], {"w", "u", "r", "b"}, where="bounds")
+        _check_keys(config["bounds"], {"b"}, where="bounds")
         resolved["bounds"] = config["bounds"]
         with _config_values():
             fixed_bounds = MeanBounds(**config["bounds"])
@@ -279,8 +276,8 @@ def _cmd_learn(config, out_dir):
         try:
             bounds = fixed_bounds if fixed_bounds is not None else derive_bounds(gmm, d)
             report = learn_means(
-                gmm, gmm.m, d, delta, eps, bounds, rng, samples,
-                tau=tau, with_weights=with_weights, chunk=chunk,
+                gmm, gmm.m, d, delta, bounds, rng, samples,
+                tau=fixed_tau, with_weights=with_weights, chunk=chunk,
             )
             diag = report.diagnostics
             row.update(
@@ -540,6 +537,8 @@ def _cmd_reduction_check(config, out_dir):
         _require(min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= 1e-12,
                  f"bad config value: probs must be nonnegative and sum to 1, got {probs}")
         samples = _count(config.get("samples", 100_000), "samples")
+        _require(samples >= 2, "bad config value: samples must be at least 2 "
+                 f"for the pair correlations, got {samples}")
         delta = float(config.get("delta", 1e-6))
         _require(0.0 < delta < 1.0,
                  f"bad config value: delta must lie in (0, 1), got {delta}")

@@ -1,12 +1,13 @@
 """End-to-end mixture learning through the Poissonized ICA pipeline.
 
-learn_means drives the full chain: parameter schedule, truncated Poissonized
-sampling, streaming cumulant estimation, simultaneous diagonalization, and
-the unlift (divide each recovered column by its last entry, which also
-cancels the ICA sign ambiguity).  Weights are recovered afterwards from the
-order-3 cumulant of all lifted coordinates of the same stream, against the
-lifted means (mu_i, 1): the count coordinate's own cumulant pins the weights'
-sum, so an error in the unlifted means is not amplified into it.
+learn_means drives the full chain: the rate lambda = m and the certified
+truncation tau, truncated Poissonized sampling, streaming cumulant
+estimation, simultaneous diagonalization, and the unlift (divide each
+recovered column by its last entry, which also cancels the ICA sign
+ambiguity).  Weights are recovered afterwards from the order-3 cumulant of
+all lifted coordinates of the same stream, against the lifted means
+(mu_i, 1): the count coordinate's own cumulant pins the weights' sum, so an
+error in the unlifted means is not amplified into it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .ica import (
 )
 from .poissonization import (
     MixtureSource,
+    ReductionParams,
     SubroutineFailure,
     compute_reduction_params,
     lift,
@@ -55,24 +57,14 @@ class FeasibilityError(RuntimeError):
 
 @dataclass
 class MeanBounds:
-    """A-priori parameter bounds handed to the reduction.
+    """A-priori bound handed to the learner: b, a positive conditioning
+    floor for the lifted Khatri-Rao power."""
 
-    w : weight ratio bound, >= w_max / w_min >= 1.
-    u : mean norm bound, >= max ||mu_i||.
-    r : separation parameter, positive.
-    b : conditioning floor for the lifted Khatri-Rao power, positive.
-    """
-
-    w: float
-    u: float
-    r: float
     b: float
 
     def __post_init__(self):
-        if self.w < 1.0:
-            raise ValueError("w must be >= 1")
-        if min(self.u, self.r, self.b) <= 0:
-            raise ValueError("u, r, b must be positive")
+        if not self.b > 0:
+            raise ValueError(f"b must be positive, got {self.b}")
 
 
 def lifted_conditioning(gmm, d):
@@ -84,24 +76,13 @@ def lifted_conditioning(gmm, d):
 
 
 def derive_bounds(gmm, d):
-    """Bounds that a known mixture satisfies; the conditioning floor is
-    0.99 of the measured value.  The norm and separation bounds are floored
-    at 1e-12, so means at the origin and coincident means still give valid
-    bounds; a measured conditioning of 0 raises FeasibilityError."""
-    norms = np.linalg.norm(gmm.means, axis=0)
-    diffs = gmm.means[:, :, None] - gmm.means[:, None, :]
-    dist = np.linalg.norm(diffs, axis=0)
-    iu = np.triu_indices(gmm.m, k=1)
-    separation = float(dist[iu].min()) if iu[0].size else 1.0
+    """Bounds that a known mixture satisfies: the conditioning floor is 0.99
+    of the measured value.  A measured conditioning of 0 raises
+    FeasibilityError."""
     conditioning = float(lifted_conditioning(gmm, d))
     if not conditioning > 0.0:
         raise FeasibilityError("sigma_m of the lifted Khatri-Rao power is 0")
-    return MeanBounds(
-        w=float(gmm.weights.max() / gmm.weights.min()),
-        u=max(float(norms.max()), 1e-12),
-        r=max(separation, 1e-12),
-        b=conditioning * 0.99,
-    )
+    return MeanBounds(b=conditioning * 0.99)
 
 
 @dataclass
@@ -203,7 +184,6 @@ def learn_means(
     m,
     d,
     delta,
-    eps,
     bounds,
     rng,
     samples,
@@ -222,12 +202,12 @@ def learn_means(
         a MixtureSource enables the ground-truth-free mode, where no
         feasibility check or error metric is possible.
     m, d : component count and cumulant order (d in {4, 6}).
-    delta, eps : failure budget and target accuracy of the schedule.
+    delta : failure budget; by default tau is certified against delta / 2.
     bounds : MeanBounds.
     rng : SeededRng; all randomness of the run flows through it.
     samples : Poissonized sample budget N.
-    tau : optional truncation override (e.g. a desk-scale value); the run is
-        then certified a posteriori through the recorded tv_gap.
+    tau : optional truncation override; the run is then certified a
+        posteriori through the recorded tv_gap.
     truth : optional GmmParams for diagnostics and aligned errors.
     """
     if isinstance(source, GmmParams):
@@ -235,7 +215,7 @@ def learn_means(
             truth = source
     elif not isinstance(source, MixtureSource):
         raise TypeError("source must be GmmParams or MixtureSource")
-    params = compute_reduction_params(source.covariance, m, d, delta, eps, bounds, tau)
+    params = compute_reduction_params(m, delta, samples, tau)
     gap = tv_gap(params.lam, params.tau, samples)
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
     if truth is not None:
@@ -274,15 +254,15 @@ def learn_means(
     )
 
 
-def learn_means_oracle(gmm, d, rng, delta=0.1, eps=0.1, bounds=None, tau=None, with_weights=True):
+def learn_means_oracle(gmm, d, rng, with_weights=True):
     """The same pipeline with analytic cumulants instead of estimation.
 
     Isolates algorithmic error from statistical error: with exact tensors the
     recovered means and weights must match the model to solver precision.
+    Nothing is sampled, so nothing is truncated: the report carries
+    lambda = m and tau = inf.
     """
-    if bounds is None:
-        bounds = derive_bounds(gmm, d)
-    params = compute_reduction_params(gmm.covariance, gmm.m, d, delta, eps, bounds, tau)
+    params = ReductionParams(lam=float(gmm.m), tau=np.inf)
     # every cumulant of Poisson(w_i lambda) is w_i lambda, and Gaussian noise
     # has none above order two
     lifted = lift(gmm.means)

@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GmmParams, _psd_factor, truncated_poisson_tv
+from .distributions import (
+    GmmParams,
+    _psd_factor,
+    certified_tail_threshold,
+    truncated_poisson_tv,
+)
 
 __all__ = [
     "SubroutineFailure",
@@ -213,8 +218,7 @@ def _sample_grouped(source, lam, tau, rng, count):
 
 @dataclass
 class ReductionParams:
-    """Committed parameter schedule of the reduction: the Poisson rate lambda
-    and the truncation tau."""
+    """The reduction's Poisson rate lambda and truncation tau."""
 
     lam: float
     tau: float
@@ -226,57 +230,19 @@ class ReductionParams:
             raise ValueError("tau must exceed e * lambda")
 
 
-def _log_plus(x):
-    # factors below 1 are clamped so they never shrink the threshold
-    return max(math.log(x), 0.0)
+def compute_reduction_params(m, delta, samples, tau=None):
+    """lambda = m and the truncation tau for ``samples`` draws of an
+    m-component mixture.
 
-
-def compute_reduction_params(covariance, m, d, delta, eps, bounds, tau=None):
-    """Parameter schedule for learning an m-component mixture whose draws
-    carry the (n, n) noise ``covariance``.
-
-    Splits the failure budget delta evenly, sets lambda = m, and computes the
-    truncation from the polynomial threshold factor q(Theta), kept in log
-    space since it can overflow a double.  A given ``tau`` replaces the
-    computed truncation.
-
-    ``bounds`` is a :class:`~poissonize.gmm_learner.MeanBounds`, checked when
-    it was built: w >= w_max/w_min >= 1, u >= max ||mu_i||, r a positive
-    separation parameter, b a positive conditioning floor.  sigma^2 is the
-    largest eigenvalue of the covariance.  Like the other factors, log(1/eps)
-    is clamped at zero, so an eps above 1 schedules like eps = 1.
+    tau defaults to the certified cutoff for the per-draw budget
+    delta / (2 samples), so the whole run's truncation gap (tv_gap) stays
+    below delta / 2.  A given ``tau`` forces the cutoff.
     """
-    covariance = np.asarray(covariance, dtype=float)
-    n = covariance.shape[0]
-    m = int(m)
-    d = int(d)
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    if d % 2 != 0 or d < 2:
-        raise ValueError("d must be a positive even integer")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not 0.0 < eps:
-        raise ValueError("eps must be positive")
-    sigma = math.sqrt(max(float(np.linalg.eigvalsh(covariance).max()), 0.0))
-
-    # half of delta bounds the ICA stage's failure, half the truncation's
-    half_delta = delta / 2.0
     lam = float(m)
-    d2 = d * d
-    log_q = (
-        d * math.log(n)
-        + d2 * (
-            math.log(m) + _log_plus(bounds.u) + _log_plus(bounds.w)
-            + math.log(d + 1) + _log_plus(bounds.r)
-        )
-        + (d2 * _log_plus(sigma) if sigma > 0 else 0.0)
-        + d * _log_plus(1.0 / bounds.b)
-        + _log_plus(1.0 / eps)
-        + math.log(1.0 / half_delta)
-    )
     if tau is None:
-        tau = 4.0 * (math.log(1.0 / half_delta) + log_q) * max((math.e * lam) ** 2, 4.0 * d2)
+        tau = certified_tail_threshold(delta / (2 * samples), lam)
     return ReductionParams(lam=lam, tau=float(tau))
 
 

@@ -126,19 +126,31 @@ class TestLearnCommand:
         assert all(row["eigengap"] == "inf" for row in rows)
         assert all(float(row["aligned_error"]) < 0.1 for row in rows)
 
-    def test_schedule_with_large_eps_runs(self, tmp_path):
-        """An eps above 1 schedules like eps = 1, so the scheduled tau still
-        exceeds e * m and the trial runs instead of ending in a traceback."""
+    def test_schedule_tau_is_usage_error(self, tmp_path):
+        """The certified cutoff is the one default truncation: a tau of
+        "schedule" is refused by name, in one line, with no records."""
         cfg = write_config(tmp_path, {
-            "tau": "schedule", "eps": 1e40, "samples": 2000,
-            "generator": {"n": 2, "m": 2},
+            "tau": "schedule", "samples": 2000, "generator": {"n": 2, "m": 2},
         })
         out = tmp_path / "out"
         proc = run_module("learn", "--config", cfg, "--out", str(out))
-        assert proc.returncode in (0, 2), proc.stderr
-        assert "Traceback" not in proc.stderr
-        (row,) = read_rows(out)
-        assert float(row["tau"]) > math.e * 2
+        assert proc.returncode == 1
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("poissonize: error: bad config value")
+        assert "'schedule'" in err[0]
+        assert not (out / "records.csv").exists()
+
+    def test_eps_has_no_effect(self, tmp_path):
+        """eps is accepted and range-checked, but changes no record and is
+        not echoed in the resolved config."""
+        outputs = []
+        for index, extra in enumerate(({}, {"eps": 1e40})):
+            cfg = write_config(tmp_path, {**TOY_LEARN, **extra}, name=f"c{index}.json")
+            out = tmp_path / f"out{index}"
+            assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+            assert "eps" not in read_summary(out)["config"]
+            outputs.append((out / "records.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_degenerate_model_fails_as_modeled(self, tmp_path):
         """Four 1-D means give a rank-deficient order-4 cumulant: the trial
@@ -148,7 +160,7 @@ class TestLearnCommand:
                     "weights": [0.25, 0.25, 0.25, 0.25],
                     "covariance": [[0.01]]},
             "samples": 20_000, "tau": 30,
-            "bounds": {"w": 1, "u": 2, "r": 0.5, "b": 1e-300},
+            "bounds": {"b": 1e-300},
         })
         out = tmp_path / "out"
         proc = run_module("learn", "--config", cfg, "--out", str(out))
@@ -160,8 +172,9 @@ class TestLearnCommand:
         assert read_summary(out)["errors"] == [row["reason"]]
 
     def test_mean_at_origin_succeeds(self, tmp_path):
-        """A mean at the origin has norm 0; the derived norm bound is floored
-        like the separation bound, and the trial runs."""
+        """A mean at the origin has norm 0, but its lifted mean (0, 1) does
+        not, so the derived conditioning floor is positive and the trial
+        runs."""
         cfg = write_config(tmp_path, {
             "gmm": {"means": [[0.0, 0.0]], "weights": [1.0],
                     "covariance": [[0.01, 0.0], [0.0, 0.01]]},
@@ -228,7 +241,7 @@ class TestConfigErrors:
         ("learn", {**TOY_LEARN, "gmm": {**TOY_LEARN["gmm"], "weights": [0.5, 0.6]}},
          "sum to 1"),
         ("learn", {"tau": "large"}, "'large'"),
-        ("learn", {"bounds": {"w": 0.5, "u": 1.0, "r": 1.0, "b": 1.0}}, "w must be"),
+        ("learn", {"bounds": {"b": 0}}, "b must be positive"),
         ("smoothed", {"n": "ten"}, "'ten'"),
         ("hardness", {"h_values": ["tenth"]}, "'tenth'"),
         ("hardness", {"mode": "pigeonhole", "k": [5]}, "list"),
@@ -300,6 +313,7 @@ class TestConfigErrors:
         ("learn", {"generator": [2, 2]}, "generator must be a JSON object"),
         ("learn", {"samples": 10**400, "generator": {"n": 2, "m": 2}},
          "int too large to convert to float"),
+        ("reduction-check", {"samples": 1}, "samples must be at least 2"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -311,6 +325,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("poissonize: error: bad config value")
         assert fragment in err[0]
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("key", ["w", "u", "r"])
+    def test_unknown_bounds_key_rejected(self, tmp_path, capsys, key):
+        """The bounds block holds only the conditioning floor b."""
+        cfg = write_config(tmp_path, {**TOY_LEARN, "bounds": {key: 1.0, "b": 1.0}})
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"poissonize: error: unknown bounds keys: {key}"]
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("command", ["learn", "smoothed", "hardness",

@@ -36,31 +36,19 @@ def toy_gmm():
 
 class TestMeanBounds:
     def test_valid(self):
-        b = MeanBounds(w=2.0, u=3.0, r=0.5, b=0.1)
-        assert b.w == 2.0
-
-    def test_weight_ratio_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            MeanBounds(w=0.5, u=1.0, r=1.0, b=1.0)
+        assert MeanBounds(b=0.1).b == 0.1
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            MeanBounds(w=1.0, u=1.0, r=0.0, b=1.0)
-        with pytest.raises(ValueError):
-            MeanBounds(w=1.0, u=0.0, r=1.0, b=1.0)
-        with pytest.raises(ValueError):
-            MeanBounds(w=1.0, u=1.0, r=1.0, b=-1.0)
+        with pytest.raises(ValueError, match="b must be positive"):
+            MeanBounds(b=0.0)
+        with pytest.raises(ValueError, match="b must be positive"):
+            MeanBounds(b=-1.0)
 
 
 class TestDeriveBounds:
     def test_mixture_satisfies_its_own_bounds(self):
         gmm = toy_gmm()
         b = derive_bounds(gmm, 4)
-        norms = np.linalg.norm(gmm.means, axis=0)
-        assert b.w == pytest.approx(1.0)
-        assert b.u == pytest.approx(norms.max())
-        # the two means sit sqrt(13) apart
-        assert b.r == pytest.approx(np.sqrt(13.0))
         assert 0.0 < b.b < lifted_conditioning(gmm, 4)
 
     def test_slack_scales_conditioning_floor(self):
@@ -68,10 +56,10 @@ class TestDeriveBounds:
         assert derive_bounds(gmm, 4).b == pytest.approx(0.99 * lifted_conditioning(gmm, 4))
 
     def test_mean_at_origin_floors_the_norm_bound(self):
+        """A mean at the origin lifts to the unit vector (0, 1), so its
+        conditioning floor is 0.99, not 0."""
         gmm = GmmParams(np.zeros((2, 1)), np.array([1.0]), 0.01 * np.eye(2))
-        bounds = derive_bounds(gmm, 4)
-        assert bounds.u == 1e-12
-        assert bounds.b == pytest.approx(0.99)
+        assert derive_bounds(gmm, 4).b == pytest.approx(0.99)
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_zero_conditioning_is_infeasible(self, d):
@@ -123,7 +111,7 @@ class TestLearnMeans:
     def test_noiseless_two_component(self):
         gmm = toy_gmm()
         rep = learn_means(
-            gmm, 2, 4, 0.1, 0.25, derive_bounds(gmm, 4), SeededRng(21),
+            gmm, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(21),
             1_000_000, tau=15,
         )
         assert not rep.failed
@@ -132,6 +120,20 @@ class TestLearnMeans:
         assert rep.diagnostics["tv_certified"]
         assert rep.diagnostics["weight_max_error"] < 0.05
         assert abs(rep.diagnostics["weight_sum"] - 1.0) < 0.05
+
+    def test_default_tau_is_certified(self):
+        """Without a tau the run truncates at the certified cutoff for
+        delta / (2 N), 14 on this mixture at N = 2e5, and its noise level
+        tau * Sigma leaves the means readable (aligned error 0.088)."""
+        gmm = GmmParams(
+            np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0.5, 0.5]), 0.01 * np.eye(2)
+        )
+        rep = learn_means(
+            gmm, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(21), 200_000,
+        )
+        assert rep.params.tau == 14
+        assert rep.diagnostics["tv_certified"]
+        assert rep.aligned_error < 0.15
 
     def test_weight_sum_stays_near_one_across_trials(self):
         """Weights are read against the lifted means (mu_i, 1), whose count
@@ -145,7 +147,7 @@ class TestLearnMeans:
         )
         misses = [
             abs(learn_means(
-                gmm, 3, 4, 1e-6, 0.25, derive_bounds(gmm, 4), SeededRng(seed),
+                gmm, 3, 4, 1e-6, derive_bounds(gmm, 4), SeededRng(seed),
                 200_000, tau=30,
             ).diagnostics["weight_sum"] - 1.0)
             for seed in range(40, 50)
@@ -157,7 +159,7 @@ class TestLearnMeans:
         and the report carries no means."""
         gmm = toy_gmm()
         rep = learn_means(
-            gmm, 2, 4, 0.1, 0.25, derive_bounds(gmm, 4), SeededRng(37),
+            gmm, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(37),
             5_000, tau=6,
         )
         assert rep.failed
@@ -179,10 +181,8 @@ class TestLearnMeans:
         """Declaring a conditioning floor above the measured sigma_m stops
         the run before any sampling."""
         gmm = toy_gmm()
-        bounds = derive_bounds(gmm, 4)
-        bad = MeanBounds(w=bounds.w, u=bounds.u, r=bounds.r, b=1.0)
         with pytest.raises(FeasibilityError):
-            learn_means(gmm, 2, 4, 0.1, 0.25, bad, SeededRng(1), 1_000, tau=15)
+            learn_means(gmm, 2, 4, 0.1, MeanBounds(b=1.0), SeededRng(1), 1_000, tau=15)
 
     def test_ground_truth_free_mode(self):
         """A black-box source skips the feasibility check and the metric but
@@ -193,7 +193,7 @@ class TestLearnMeans:
             covariance=gmm.covariance,
         )
         rep = learn_means(
-            src, 2, 4, 0.1, 0.25, derive_bounds(gmm, 4), SeededRng(41),
+            src, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(41),
             1_000_000, tau=15,
         )
         assert rep.aligned_error is None
@@ -204,8 +204,7 @@ class TestLearnMeans:
     def test_rejects_unknown_source_type(self):
         with pytest.raises(TypeError):
             learn_means(
-                np.eye(2), 2, 4, 0.1, 0.25,
-                MeanBounds(w=1.0, u=1.0, r=1.0, b=0.1), SeededRng(1), 100,
+                np.eye(2), 2, 4, 0.1, MeanBounds(b=0.1), SeededRng(1), 100,
             )
 
 

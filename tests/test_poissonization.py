@@ -21,7 +21,6 @@ from poissonize.distributions import (
     sample_gmm,
     truncated_poisson_tv,
 )
-from poissonize.gmm_learner import MeanBounds
 from poissonize.poissonization import (
     IcaModel,
     MixtureSource,
@@ -366,15 +365,21 @@ class TestSamplersAgree:
 
 class TestComputeReductionParams:
     def default_params(self, **overrides):
-        kw = dict(
-            covariance=0.01 * np.eye(6), m=6, d=4, delta=0.1, eps=0.25,
-            bounds=MeanBounds(w=1.0, u=2.0, r=0.5, b=0.1),
-        )
+        kw = dict(m=6, delta=0.1, samples=200_000)
         kw.update(overrides)
         return compute_reduction_params(**kw)
 
     def test_lambda_equals_component_count(self):
         assert self.default_params().lam == 6.0
+
+    def test_default_tau_is_the_certified_cutoff(self):
+        """tau defaults to the certified cutoff for the per-draw budget
+        delta / (2 N), so the whole run's truncation gap stays below
+        delta / 2."""
+        for m, delta, samples in ((6, 0.1, 200_000), (2, 0.1, 200_000), (4, 1e-6, 10**7)):
+            p = self.default_params(m=m, delta=delta, samples=samples)
+            assert p.tau == certified_tail_threshold(delta / (2 * samples), m)
+            assert tv_gap(p.lam, p.tau, samples) < delta / 2
 
     def test_tau_grows_as_delta_shrinks(self):
         taus = [self.default_params(delta=d).tau for d in (0.2, 0.02, 0.002)]
@@ -389,44 +394,22 @@ class TestComputeReductionParams:
         assert p.tau == 25.0
         assert isinstance(p.tau, float)
 
-    def test_sigma_is_the_largest_noise_eigenvalue(self):
-        """Only the covariance's largest eigenvalue and its size enter tau."""
-        rotation = np.linalg.qr(SeededRng(3).standard_normal((6, 6)))[0]
-        skewed = rotation @ np.diag([4.0, 1.0, 1.0, 0.0, 2.0, 3.0]) @ rotation.T
-        skewed = 0.5 * (skewed + skewed.T)
-        assert self.default_params(covariance=skewed).tau == pytest.approx(
-            self.default_params(covariance=4.0 * np.eye(6)).tau, rel=1e-12
-        )
-        assert self.default_params(covariance=4.0 * np.eye(6)).tau > self.default_params().tau
-
-    def test_eps_above_one_schedules_like_one(self):
-        """log(1/eps) is clamped like the other factors, so tau stays above
-        e * lambda however large eps is."""
-        at_one = self.default_params(eps=1.0).tau
-        for eps in (2.0, 1e40):
-            p = self.default_params(eps=eps)
-            assert p.tau == at_one
-            assert p.tau > math.e * 6
-        small = compute_reduction_params(
-            np.zeros((1, 1)), 1, 2, 0.99, 1e300, MeanBounds(w=1.0, u=1.0, r=1.0, b=1.0)
-        )
-        assert small.tau > math.e * small.lam
-
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):
-            self.default_params(d=3)
-        with pytest.raises(ValueError):
             self.default_params(delta=0.0)
+        with pytest.raises(ValueError):
+            self.default_params(delta=1.0)
+        with pytest.raises(ValueError):
+            self.default_params(tau=math.e * 6)
 
     @given(
         delta=st.floats(min_value=1e-4, max_value=0.4),
         m=st.integers(min_value=1, max_value=8),
+        samples=st.integers(min_value=1, max_value=10**8),
     )
     @settings(max_examples=50, deadline=None)
-    def test_schedule_invariants(self, delta, m):
-        p = compute_reduction_params(
-            0.04 * np.eye(4), m, 4, delta, 0.2, MeanBounds(w=2.0, u=1.5, r=0.3, b=0.05)
-        )
+    def test_schedule_invariants(self, delta, m, samples):
+        p = compute_reduction_params(m, delta, samples)
         assert p.lam == float(m)
         assert p.tau > math.e * p.lam
 
