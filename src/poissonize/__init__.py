@@ -19,7 +19,7 @@ from .distributions import (
     empirical_poisson_tv,
     truncated_poisson_tv,
 )
-from .gmm_learner import derive_bounds, learn_means, recover_weights
+from .gmm_learner import learn_means, recover_weights
 from .ica import align_columns, recover_from_cumulants
 from .lowdim_hardness import (
     build_close_pair,

@@ -31,7 +31,7 @@ from .distributions import (
     poisson_tail_threshold,
     truncated_poisson_tv,
 )
-from .gmm_learner import FeasibilityError, MeanBounds, derive_bounds, learn_means
+from .gmm_learner import FeasibilityError, learn_means
 from .ica import (
     _SUPPORTED_ORDERS,
     DegenerateModelError,
@@ -174,7 +174,7 @@ def _gmm_from_config(block):
 
 def _cmd_learn(config, out_dir):
     allowed = {
-        "gmm", "generator", "d", "delta", "eps", "samples", "tau", "bounds",
+        "gmm", "generator", "d", "delta", "eps", "samples", "tau",
         "trials", "seed", "with_weights", "chunk", "out",
     }
     _check_keys(config, allowed)
@@ -239,12 +239,6 @@ def _cmd_learn(config, out_dir):
     resolved["gmm" if fixed_gmm is not None else "generator"] = (
         config.get("gmm") if fixed_gmm is not None else generator
     )
-    fixed_bounds = None
-    if "bounds" in config:
-        _check_keys(config["bounds"], {"b"}, where="bounds")
-        resolved["bounds"] = config["bounds"]
-        with _config_values():
-            fixed_bounds = MeanBounds(**config["bounds"])
 
     root = SeededRng(seed)
     records = []
@@ -274,9 +268,8 @@ def _cmd_learn(config, out_dir):
             "samples_used": 0,
         }
         try:
-            bounds = fixed_bounds if fixed_bounds is not None else derive_bounds(gmm, d)
             report = learn_means(
-                gmm, gmm.m, d, delta, bounds, rng, samples,
+                gmm, gmm.m, d, delta, rng, samples,
                 tau=fixed_tau, with_weights=with_weights, chunk=chunk,
             )
             diag = report.diagnostics
@@ -356,16 +349,19 @@ def _cmd_smoothed(config, out_dir):
 # ---------------------------------------------------------------------------
 
 
+_HARDNESS_MODE_KEYS = {
+    "decay": {"h_values"},
+    "pigeonhole": {"k", "dimension", "instances", "l1_samples"},
+}
+
+
 def _cmd_hardness(config, out_dir):
-    allowed = {
-        "mode", "h_values", "k", "dimension", "instances",
-        "l1_samples", "seed", "trials", "out",
-    }
-    _check_keys(config, allowed)
     mode = config.get("mode", "decay")
+    _require(isinstance(mode, str) and mode in _HARDNESS_MODE_KEYS,
+             "mode must be 'decay' or 'pigeonhole'")
+    _check_keys(config, {"mode", "seed", "trials", "out"} | _HARDNESS_MODE_KEYS[mode])
     with _config_values():
         seed = int(config.get("seed", 0))
-        l1_samples = _count(config.get("l1_samples", 200_000), "l1_samples")
     root = SeededRng(seed)
     status = 0
     if mode == "decay":
@@ -392,13 +388,14 @@ def _cmd_hardness(config, out_dir):
             })
             _write_pair(out_dir, f"pair_decay_{index}.json", pair)
         extra = {"pairs_written": len(records)}
-    elif mode == "pigeonhole":
+    else:
         with _config_values():
             k = int(config.get("k", 5))
             _require(k >= 2, f"bad config value: k must be at least 2, got {k}")
             dimension = _count(config.get("dimension", 1), "dimension")
             instances = _count(config.get("instances", config.get("trials", 10)),
                                "instances")
+            l1_samples = _count(config.get("l1_samples", 200_000), "l1_samples")
         resolved = {
             "mode": mode, "k": k, "dimension": dimension,
             "instances": instances, "l1_samples": l1_samples, "seed": seed,
@@ -434,8 +431,6 @@ def _cmd_hardness(config, out_dir):
             records.append(row)
         extra = {"failures": failures,
                  "built_count": sum(1 for r in records if r["built"])}
-    else:
-        raise UsageError("mode must be 'decay' or 'pigeonhole'")
     return records, None, resolved, extra, status
 
 
@@ -568,13 +563,18 @@ def _cmd_reduction_check(config, out_dir):
             "check": "marginal_tv", "index": str(i), "value": tv,
             "bound": marginal_tol, "passed": bool(tv < marginal_tol),
         })
-    correlations = np.corrcoef(split, rowvar=False)
+    # a constant column has no correlation: its pairs record no value and fail
+    varying = np.ptp(split, axis=0) > 0
+    correlations = np.full((len(probs),) * 2, np.nan)
+    if np.count_nonzero(varying) >= 2:
+        kept = split.compress(varying, axis=1)
+        correlations[np.ix_(varying, varying)] = np.corrcoef(kept, rowvar=False)
     for i in range(len(probs)):
         for j in range(i + 1, len(probs)):
-            rho = float(correlations[i, j])
+            rho = float(correlations[i, j]) if varying[i] and varying[j] else None
             records.append({
                 "check": "pair_correlation", "index": f"{i}-{j}", "value": rho,
-                "bound": corr_tol, "passed": bool(abs(rho) < corr_tol),
+                "bound": corr_tol, "passed": rho is not None and abs(rho) < corr_tol,
             })
 
     worst_gap = max(

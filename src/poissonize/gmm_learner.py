@@ -33,13 +33,11 @@ from .poissonization import (
     sample_approx_ica_batch,
     tv_gap,
 )
-from .tensor_linalg import khatri_rao_power, pseudo_inverse, sigma_min
+from .tensor_linalg import khatri_rao_power, sigma_min
 
 __all__ = [
-    "MeanBounds",
     "LearnReport",
     "FeasibilityError",
-    "lifted_conditioning",
     "derive_bounds",
     "learn_means",
     "learn_means_oracle",
@@ -55,34 +53,16 @@ class FeasibilityError(RuntimeError):
     """The mixture violates the conditioning hypothesis of the pipeline."""
 
 
-@dataclass
-class MeanBounds:
-    """A-priori bound handed to the learner: b, a positive conditioning
-    floor for the lifted Khatri-Rao power."""
-
-    b: float
-
-    def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-
-
-def lifted_conditioning(gmm, d):
+def derive_bounds(gmm, d):
     """sigma_m of the (d/2)-fold Khatri-Rao power of the normalized lifted
-    means; the quantity the pipeline's conditioning hypothesis bounds."""
+    means: the conditioning that the pipeline's non-degeneracy hypothesis
+    bounds below.  A value of 0 raises FeasibilityError."""
     lifted = lift(gmm.means)
     normalized = lifted / np.linalg.norm(lifted, axis=0)
-    return sigma_min(khatri_rao_power(normalized, d // 2))
-
-
-def derive_bounds(gmm, d):
-    """Bounds that a known mixture satisfies: the conditioning floor is 0.99
-    of the measured value.  A measured conditioning of 0 raises
-    FeasibilityError."""
-    conditioning = float(lifted_conditioning(gmm, d))
+    conditioning = sigma_min(khatri_rao_power(normalized, d // 2))
     if not conditioning > 0.0:
         raise FeasibilityError("sigma_m of the lifted Khatri-Rao power is 0")
-    return MeanBounds(b=conditioning * 0.99)
+    return conditioning
 
 
 @dataclass
@@ -110,9 +90,10 @@ def recover_weights(mixing, lam, flat_cum):
     """Source weights from an order-ell flattened cumulant of X = A S + noise.
 
     With S_i ~ Poisson(w_i * lambda) scaled by the columns' own lengths the
-    cross-cumulants satisfy vec(kappa) = A^(KR ell) (lambda w), so
-    w = (1 / lambda) pinv(A^(KR ell)) vec(kappa).  Returns the raw vector;
-    callers decide about clipping.
+    cross-cumulants satisfy vec(kappa) = A^(KR ell) (lambda w), so w is the
+    least-squares solution over lambda.  One decomposition gives both the
+    solution and the singular values that certify A^(KR ell) has full column
+    rank.  Returns the raw vector; callers decide about clipping.
     """
     mixing = np.asarray(mixing, dtype=float)
     if flat_cum.order <= 2:
@@ -123,12 +104,13 @@ def recover_weights(mixing, lam, flat_cum):
     if lam <= 0:
         raise ValueError("lambda must be positive")
     kr = khatri_rao_power(mixing, flat_cum.order)
-    smin = sigma_min(kr)
-    if smin <= 1e-10 * max(1.0, float(np.linalg.norm(kr, 2))):
+    rates, _, _, singular = np.linalg.lstsq(kr, flat_cum.data, rcond=None)
+    smin = singular[-1]
+    if smin <= 1e-10 * max(1.0, singular[0]):
         raise IllConditionedError(
             f"khatri-rao power of the mixing is rank deficient (sigma_min {smin:.3e})"
         )
-    return (pseudo_inverse(kr) @ flat_cum.data) / lam
+    return rates / lam
 
 
 def _unlift(columns):
@@ -184,12 +166,10 @@ def learn_means(
     m,
     d,
     delta,
-    bounds,
     rng,
     samples,
     tau=None,
     with_weights=True,
-    truth=None,
     chunk=1 << 17,
 ):
     """Learn mixture means (and optionally weights) from Poissonized samples.
@@ -197,35 +177,29 @@ def learn_means(
     Parameters
     ----------
     source : GmmParams or MixtureSource
-        The mixture being learned.  Passing GmmParams uses it both as the
-        sampler and (unless ``truth`` is given) as the evaluation truth;
-        a MixtureSource enables the ground-truth-free mode, where no
+        The mixture being learned.  GmmParams is both the sampler and the
+        evaluation truth: its lifted conditioning is measured before any
+        sampling (``derive_bounds``) and the estimate is scored against it.
+        A MixtureSource enables the ground-truth-free mode, where no
         feasibility check or error metric is possible.
-    m, d : component count and cumulant order (d in {4, 6}).
+    m, d : component count (a GmmParams source's own) and cumulant order
+        (d in {4, 6}).
     delta : failure budget; by default tau is certified against delta / 2.
-    bounds : MeanBounds.
     rng : SeededRng; all randomness of the run flows through it.
     samples : Poissonized sample budget N.
     tau : optional truncation override; the run is then certified a
         posteriori through the recorded tv_gap.
-    truth : optional GmmParams for diagnostics and aligned errors.
     """
-    if isinstance(source, GmmParams):
-        if truth is None:
-            truth = source
-    elif not isinstance(source, MixtureSource):
+    truth = source if isinstance(source, GmmParams) else None
+    if truth is None and not isinstance(source, MixtureSource):
         raise TypeError("source must be GmmParams or MixtureSource")
+    if truth is not None and m != truth.m:
+        raise ValueError(f"m is {m} but the mixture has {truth.m} components")
     params = compute_reduction_params(m, delta, samples, tau)
     gap = tv_gap(params.lam, params.tau, samples)
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
     if truth is not None:
-        measured = float(lifted_conditioning(truth, d))
-        diagnostics["sigma_m_lifted"] = measured
-        if measured < bounds.b:
-            raise FeasibilityError(
-                f"sigma_m of the lifted Khatri-Rao power is {measured:.3e}, "
-                f"below the declared floor {bounds.b:.3e}"
-            )
+        diagnostics["sigma_m_lifted"] = derive_bounds(truth, d)
 
     def stream(count):
         return sample_approx_ica_batch(source, params.lam, params.tau, rng, count)

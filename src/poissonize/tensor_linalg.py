@@ -21,7 +21,6 @@ __all__ = [
     "khatri_rao_power",
     "multilinear_kr_square",
     "sigma_min",
-    "pseudo_inverse",
     "rank1_deflatten",
 ]
 
@@ -100,21 +99,6 @@ def sigma_min(a):
     if a.ndim != 2 or min(a.shape) == 0:
         raise ValueError("expected a nonempty matrix")
     return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def pseudo_inverse(a):
-    """Moore-Penrose pseudo-inverse with a relative singular value cutoff.
-
-    Singular values below ``max(a.shape) * sigma_max * 1e-12`` are treated as
-    zero.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or min(a.shape) == 0:
-        raise ValueError("expected a nonempty matrix")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    cutoff = max(a.shape) * (s[0] if s.size else 0.0) * 1e-12
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
 
 
 def rank1_deflatten(v, n, p):

@@ -19,13 +19,11 @@ from poissonize import (
     align_columns,
     analytic_ica_cumulant,
     build_close_pair,
-    derive_bounds,
     embed_as_ica,
     empirical_cumulant,
     empirical_poisson_tv,
     equispaced_interleaved,
     khatri_rao_power,
-    learn_means,
     pigeonhole_pair,
     poisson_split,
     random_points,

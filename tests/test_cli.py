@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,6 @@ class TestLearnCommand:
                     "weights": [0.25, 0.25, 0.25, 0.25],
                     "covariance": [[0.01]]},
             "samples": 20_000, "tau": 30,
-            "bounds": {"b": 1e-300},
         })
         out = tmp_path / "out"
         proc = run_module("learn", "--config", cfg, "--out", str(out))
@@ -241,7 +241,7 @@ class TestConfigErrors:
         ("learn", {**TOY_LEARN, "gmm": {**TOY_LEARN["gmm"], "weights": [0.5, 0.6]}},
          "sum to 1"),
         ("learn", {"tau": "large"}, "'large'"),
-        ("learn", {"bounds": {"b": 0}}, "b must be positive"),
+        ("learn", {**TOY_LEARN, "seed": "one"}, "'one'"),
         ("smoothed", {"n": "ten"}, "'ten'"),
         ("hardness", {"h_values": ["tenth"]}, "'tenth'"),
         ("hardness", {"mode": "pigeonhole", "k": [5]}, "list"),
@@ -327,14 +327,16 @@ class TestConfigErrors:
         assert fragment in err[0]
         assert not (out / "records.csv").exists()
 
-    @pytest.mark.parametrize("key", ["w", "u", "r"])
+    @pytest.mark.parametrize("key", ["w", "u", "r", "b"])
     def test_unknown_bounds_key_rejected(self, tmp_path, capsys, key):
-        """The bounds block holds only the conditioning floor b."""
+        """``learn`` measures the mixture's conditioning itself, so a bounds
+        block is an unknown key, whatever it holds: the floor b or the
+        retired w, u and r."""
         cfg = write_config(tmp_path, {**TOY_LEARN, "bounds": {key: 1.0, "b": 1.0}})
         out = tmp_path / "out"
         assert main(["learn", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"poissonize: error: unknown bounds keys: {key}"]
+        assert err == ["poissonize: error: unknown config keys: bounds"]
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("command", ["learn", "smoothed", "hardness",
@@ -474,6 +476,34 @@ class TestHardnessCommand:
         assert main(["hardness", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, unknown", [
+        ({"mode": "decay", "k": 3, "dimension": 2, "l1_samples": 5},
+         "dimension, k, l1_samples"),
+        ({"instances": 2}, "instances"),
+        ({"mode": "pigeonhole", "h_values": [0.3]}, "h_values"),
+        ({"mode": ["decay"]}, None),
+    ])
+    def test_keys_of_the_other_mode_rejected(self, tmp_path, capsys, payload, unknown):
+        """Each mode accepts only its own keys (plus mode, seed, out and
+        trials): a key the mode would ignore is one usage-error line and
+        no records.  A mode that is not a string is refused as a mode."""
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["hardness", "--config", cfg, "--out", str(out)]) == 1
+        message = (f"unknown config keys: {unknown}" if unknown
+                   else "mode must be 'decay' or 'pigeonhole'")
+        assert capsys.readouterr().err.splitlines() == [f"poissonize: error: {message}"]
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("payload", [
+        {"mode": "decay", "h_values": [0.5], "seed": 2, "trials": 3},
+        {"mode": "pigeonhole", "k": 2, "instances": 1, "l1_samples": 10, "seed": 2},
+    ])
+    def test_shared_keys_accepted_in_both_modes(self, tmp_path, payload):
+        cfg = write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})
+        assert main(["hardness", "--config", cfg]) == 0
+        assert read_summary(tmp_path / "out")["config"]["seed"] == 2
+
 
 class TestIcaBenchCommand:
     def test_oracle_errors_near_zero(self, tmp_path):
@@ -507,6 +537,21 @@ class TestReductionCheckCommand:
             if (row["check"], row["index"]) != ("tail_threshold", "lemma")
         ]
         assert all(row["passed"] == "true" for row in others)
+        assert read_summary(out)["all_passed"] is False
+
+    def test_constant_split_column_records_no_correlation(self, tmp_path):
+        """At lam = 0.1 and seed 0 both draws are 0, so both split columns
+        are constant and have no correlation: the pair records an empty
+        value and fails, and numpy is never asked for one (warnings are
+        errors here)."""
+        cfg = write_config(tmp_path, {"lam": 0.1, "probs": [0.5, 0.5], "samples": 2})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reduction-check", "--config", cfg, "--out", str(out)]) == 0
+        (pair,) = [row for row in read_rows(out) if row["check"] == "pair_correlation"]
+        assert pair["value"] == ""
+        assert pair["passed"] == "false"
         assert read_summary(out)["all_passed"] is False
 
     def test_in_regime_delta_all_pass(self, tmp_path):

@@ -69,6 +69,17 @@ def _names_imported_from_package(source):
     }
 
 
+def test_acceptance_uses_every_name_it_imports():
+    """Each name the acceptance battery imports from ``poissonize`` is read
+    somewhere in it, so no dead import keeps a name in the package's
+    exports."""
+    source = (pathlib.Path(__file__).resolve().parent / "test_acceptance.py").read_text()
+    read = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    imported = _names_imported_from_package(source)
+    assert imported
+    assert not imported - read, f"imported but unused: {sorted(imported - read)}"
+
+
 def test_package_exports_only_what_the_quick_start_and_acceptance_use():
     """The package level re-exports exactly the names that the README quick
     start and the acceptance battery import from ``poissonize``; every

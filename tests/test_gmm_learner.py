@@ -13,12 +13,10 @@ from poissonize.distributions import GmmParams, SeededRng, sample_gmm
 from poissonize.gmm_learner import (
     FeasibilityError,
     LearnReport,
-    MeanBounds,
     derive_bounds,
     evaluate_recovery,
     learn_means,
     learn_means_oracle,
-    lifted_conditioning,
     recover_weights,
 )
 from poissonize.ica import IllConditionedError
@@ -34,32 +32,24 @@ def toy_gmm():
     )
 
 
-class TestMeanBounds:
-    def test_valid(self):
-        assert MeanBounds(b=0.1).b == 0.1
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError, match="b must be positive"):
-            MeanBounds(b=0.0)
-        with pytest.raises(ValueError, match="b must be positive"):
-            MeanBounds(b=-1.0)
-
-
 class TestDeriveBounds:
     def test_mixture_satisfies_its_own_bounds(self):
-        gmm = toy_gmm()
-        b = derive_bounds(gmm, 4)
-        assert 0.0 < b.b < lifted_conditioning(gmm, 4)
+        """At d = 6 the measurement takes the Khatri-Rao cube: the toy's
+        lifted unit means have inner product 1/sqrt(50), their cubes
+        50**-1.5, so sigma_m is sqrt(1 - 50**-1.5), with no slack taken off."""
+        assert derive_bounds(toy_gmm(), 6) == pytest.approx(np.sqrt(1 - 50**-1.5))
 
-    def test_slack_scales_conditioning_floor(self):
-        gmm = toy_gmm()
-        assert derive_bounds(gmm, 4).b == pytest.approx(0.99 * lifted_conditioning(gmm, 4))
+    def test_matches_closed_form(self):
+        """The toy means lift to unit columns with inner product 1/sqrt(50);
+        their Khatri-Rao squares have inner product 1/50, so sigma_m is
+        sqrt(1 - 1/50)."""
+        assert derive_bounds(toy_gmm(), 4) == pytest.approx(np.sqrt(0.98))
 
     def test_mean_at_origin_floors_the_norm_bound(self):
         """A mean at the origin lifts to the unit vector (0, 1), so its
-        conditioning floor is 0.99, not 0."""
+        conditioning is 1, not 0."""
         gmm = GmmParams(np.zeros((2, 1)), np.array([1.0]), 0.01 * np.eye(2))
-        assert derive_bounds(gmm, 4).b == pytest.approx(0.99)
+        assert derive_bounds(gmm, 4) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_zero_conditioning_is_infeasible(self, d):
@@ -111,7 +101,7 @@ class TestLearnMeans:
     def test_noiseless_two_component(self):
         gmm = toy_gmm()
         rep = learn_means(
-            gmm, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(21),
+            gmm, 2, 4, 0.1, SeededRng(21),
             1_000_000, tau=15,
         )
         assert not rep.failed
@@ -129,7 +119,7 @@ class TestLearnMeans:
             np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0.5, 0.5]), 0.01 * np.eye(2)
         )
         rep = learn_means(
-            gmm, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(21), 200_000,
+            gmm, 2, 4, 0.1, SeededRng(21), 200_000,
         )
         assert rep.params.tau == 14
         assert rep.diagnostics["tv_certified"]
@@ -147,7 +137,7 @@ class TestLearnMeans:
         )
         misses = [
             abs(learn_means(
-                gmm, 3, 4, 1e-6, derive_bounds(gmm, 4), SeededRng(seed),
+                gmm, 3, 4, 1e-6, SeededRng(seed),
                 200_000, tau=30,
             ).diagnostics["weight_sum"] - 1.0)
             for seed in range(40, 50)
@@ -159,7 +149,7 @@ class TestLearnMeans:
         and the report carries no means."""
         gmm = toy_gmm()
         rep = learn_means(
-            gmm, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(37),
+            gmm, 2, 4, 0.1, SeededRng(37),
             5_000, tau=6,
         )
         assert rep.failed
@@ -178,11 +168,26 @@ class TestLearnMeans:
             evaluate_recovery(rep, toy_gmm())
 
     def test_feasibility_floor_enforced(self):
-        """Declaring a conditioning floor above the measured sigma_m stops
-        the run before any sampling."""
-        gmm = toy_gmm()
-        with pytest.raises(FeasibilityError):
-            learn_means(gmm, 2, 4, 0.1, MeanBounds(b=1.0), SeededRng(1), 1_000, tau=15)
+        """A mixture whose lifted conditioning is 0 (two means at the
+        origin) stops the run before any sampling: no generator is touched,
+        and none is given."""
+        gmm = GmmParams(np.zeros((2, 2)), np.array([0.5, 0.5]), 0.01 * np.eye(2))
+        with pytest.raises(FeasibilityError, match="is 0"):
+            learn_means(gmm, 2, 4, 0.1, None, 1_000, tau=15)
+
+    def test_conditioning_recorded(self):
+        rep = learn_means(toy_gmm(), 2, 4, 0.1, SeededRng(1), 1_000, tau=15)
+        assert rep.diagnostics["sigma_m_lifted"] == derive_bounds(toy_gmm(), 4)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_component_count_mismatch_rejected_before_sampling(self, m):
+        """An m other than the mixture's own component count is refused
+        before any sampling: no generator is touched, and none is given."""
+        gmm = GmmParams(
+            np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0.5, 0.5]), 0.01 * np.eye(2)
+        )
+        with pytest.raises(ValueError, match=f"m is {m} but the mixture has 2"):
+            learn_means(gmm, m, 4, 0.1, None, 200_000)
 
     def test_ground_truth_free_mode(self):
         """A black-box source skips the feasibility check and the metric but
@@ -193,7 +198,7 @@ class TestLearnMeans:
             covariance=gmm.covariance,
         )
         rep = learn_means(
-            src, 2, 4, 0.1, derive_bounds(gmm, 4), SeededRng(41),
+            src, 2, 4, 0.1, SeededRng(41),
             1_000_000, tau=15,
         )
         assert rep.aligned_error is None
@@ -204,7 +209,7 @@ class TestLearnMeans:
     def test_rejects_unknown_source_type(self):
         with pytest.raises(TypeError):
             learn_means(
-                np.eye(2), 2, 4, 0.1, MeanBounds(b=0.1), SeededRng(1), 100,
+                np.eye(2), 2, 4, 0.1, SeededRng(1), 100,
             )
 
 
@@ -250,6 +255,23 @@ class TestRecoverWeights:
         flat = analytic_ica_cumulant(a, np.array([1.0, 1.0]), 3)
         with pytest.raises(IllConditionedError):
             recover_weights(a, 1.0, flat)
+
+    @pytest.mark.parametrize("scales, rejected", [
+        ((1.0, 1e-3), False),  # sigma ratio 1e-9 clears the 1e-10 cutoff
+        ((1.0, 1e-4), True),  # sigma ratio 1e-12 does not
+        ((1e-4, 1e-4), True),  # below sigma_max 1 the cutoff is absolute
+    ])
+    def test_conditioning_cutoff(self, scales, rejected):
+        """The order-3 Khatri-Rao power of diag(scales) has singular values
+        scales**3; it is refused when the smallest is at most
+        1e-10 * max(1, largest), and otherwise solved exactly."""
+        a = np.diag(scales)
+        flat = analytic_ica_cumulant(a, np.array([1.0, 2.0]), 3)
+        if rejected:
+            with pytest.raises(IllConditionedError, match="rank deficient"):
+                recover_weights(a, 3.0, flat)
+        else:
+            np.testing.assert_allclose(recover_weights(a, 3.0, flat), [1 / 3, 2 / 3])
 
     def test_low_order_rejected(self):
         flat = FlatCumulant(order=2, dimension=2, data=np.zeros(4))

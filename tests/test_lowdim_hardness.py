@@ -1,7 +1,6 @@
 """Kernel interpolation, close mixture pairs, and the ICA embedding."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest

@@ -17,7 +17,6 @@ from poissonize.tensor_linalg import (
     khatri_rao,
     khatri_rao_power,
     multilinear_kr_square,
-    pseudo_inverse,
     rank1_deflatten,
     sigma_min,
 )
@@ -203,33 +202,6 @@ class TestSigmaMin:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             sigma_min(np.zeros((0, 3)))
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_left_inverse_of_tall_full_rank(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(pseudo_inverse(a) @ a, np.eye(3), atol=1e-10)
-
-    def test_zero_matrix(self):
-        np.testing.assert_array_equal(pseudo_inverse(np.zeros((3, 2))), np.zeros((2, 3)))
-
-    def test_penrose_conditions(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((4, 6))
-        p = pseudo_inverse(a)
-        np.testing.assert_allclose(a @ p @ a, a, atol=1e-10)
-        np.testing.assert_allclose(p @ a @ p, p, atol=1e-10)
-
-    def test_near_singular_direction_dropped(self):
-        """Singular values under the relative cutoff act as exact zeros."""
-        u = np.eye(2)
-        a = u @ np.diag([1.0, 1e-15]) @ u
-        p = pseudo_inverse(a)
-        np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 class TestRank1Deflatten:
