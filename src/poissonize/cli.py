@@ -396,6 +396,8 @@ def _cmd_hardness(config, out_dir):
             instances = _count(config.get("instances", config.get("trials", 10)),
                                "instances")
             l1_samples = _count(config.get("l1_samples", 200_000), "l1_samples")
+            _require(l1_samples >= 2, "bad config value: l1_samples must be at least 2 "
+                     f"for the Monte Carlo error, got {l1_samples}")
         resolved = {
             "mode": mode, "k": k, "dimension": dimension,
             "instances": instances, "l1_samples": l1_samples, "seed": seed,
@@ -464,6 +466,10 @@ def _cmd_ica_bench(config, out_dir):
         n = _count(config.get("n", 4), "n")
         m = _count(config.get("m", 6), "m")
         d = _cumulant_order(config.get("d", 4))
+        # the columns of the Khatri-Rao power are symmetric tensors
+        rank_bound = math.comb(n + d // 2 - 1, d // 2)
+        _require(m <= rank_bound, "bad config value: m must be at most "
+                 f"C(n + d/2 - 1, d/2) = {rank_bound} for n = {n}, d = {d}, got {m}")
         trials = config.get("trials", 20)
         floor = float(config.get("sigma_floor", 1e-3))
         cum_low = float(config.get("cum_low", 1.0))

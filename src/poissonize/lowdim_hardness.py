@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -33,7 +33,6 @@ from .poissonization import IcaModel
 
 __all__ = [
     "PointSet",
-    "SignedMixture",
     "MixturePair",
     "DegeneratePairError",
     "KernelConditioningError",
@@ -55,6 +54,8 @@ _RESIDUAL_REL_TOL = 1e-8
 _REFINE_STEPS = 4
 _QUAD_RANGE = (-8.0, 9.0)
 _QUAD_SIGMAS = 8.0
+_RETRIES = 5
+_EMBED_DELTA = 1e-9
 
 
 class DegeneratePairError(RuntimeError):
@@ -99,33 +100,15 @@ class PointSet:
 
 
 @dataclass
-class SignedMixture:
-    """Kernel expansion sum_i w_i K(x_i, .) with coefficients of any sign."""
-
-    centers: np.ndarray
-    coefficients: np.ndarray
-    residual: float = 0.0
-    kernel_condition: float = 0.0
-
-    def __post_init__(self):
-        self.centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-        if self.coefficients.shape != (self.centers.shape[0],):
-            raise ValueError("one coefficient per center required")
-
-    def evaluate(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return kernel(x, self.centers) @ self.coefficients
-
-
-@dataclass
 class MixturePair:
-    """Two normalized disjointly-centered mixtures and their measured gap."""
+    """Two normalized disjointly-centered mixtures and their measured gap;
+    min_center_distance is the least distance between a center of p and
+    one of q."""
 
     p: GmmParams
     q: GmmParams
     l1_distance: float
-    min_center_distance: float
+    min_center_distance: float = field(init=False)
     alpha: float = 1.0
     beta: float = 1.0
     fill: float = 0.0
@@ -134,11 +117,14 @@ class MixturePair:
     def __post_init__(self):
         if self.p.n != self.q.n:
             raise ValueError("mixtures live in different dimensions")
+        self.min_center_distance = _cross_min_distance(self.p.means.T, self.q.means.T)
         if self.min_center_distance <= 0:
             raise ValueError("center sets must be disjoint")
-        cross = _cross_min_distance(self.p.means.T, self.q.means.T)
-        if cross <= 0:
-            raise ValueError("center sets must be disjoint")
+
+
+def _sq_distances(a, b):
+    """Squared distances between the rows of a and the rows of b."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
 def kernel(x, y):
@@ -148,11 +134,10 @@ def kernel(x, y):
     if x.shape[1] != y.shape[1]:
         raise ValueError("dimension mismatch")
     n = x.shape[1]
-    sq = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
-    return (2.0 * math.pi) ** (-0.5 * n) * np.exp(-0.5 * sq)
+    return (2.0 * math.pi) ** (-0.5 * n) * np.exp(-0.5 * _sq_distances(x, y))
 
 
-def target_f(x, n=None):
+def target_f(x):
     """Positive target: the unit Gaussian kernel smoothed over the cube.
 
     f(x) = prod_j (Phi(x_j) - Phi(x_j - 1)), the closed form of the
@@ -161,8 +146,6 @@ def target_f(x, n=None):
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1)
-    if n is not None and x.shape[-1] != n:
-        raise ValueError(f"expected points in dimension {n}")
     return np.prod(ndtr(x) - ndtr(x - 1.0), axis=-1)
 
 
@@ -183,7 +166,7 @@ def compute_fill(point_set, grid_resolution):
     worst = 0.0
     for start in range(0, grid.shape[0], block):
         piece = grid[start : start + block]
-        d2 = ((piece[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(piece, pts)
         worst = max(worst, float(d2.min(axis=1).max()))
     spacing = 1.0 / (grid_resolution - 1)
     return math.sqrt(worst) + 0.5 * math.sqrt(n) * spacing
@@ -231,15 +214,16 @@ def _solve_kernel(kmat, rhs):
 
 
 def interpolate(point_set):
-    """Signed kernel mixture matching the smooth target on the nodes.
+    """Coefficients w of the kernel expansion sum_i w_i K(x_i, .) that
+    matches the smooth target on the nodes x_i, and the kernel condition.
 
     Solves K_X w = f(X) for the (positive definite, badly conditioned)
-    kernel matrix; acceptance is by achieved residual, per-instance, with
-    the condition estimate recorded on the result.
+    kernel matrix; acceptance is by achieved residual, per-instance.
+    Returns (coefficients, condition estimate).
     """
     pts = point_set.points
     if pts.shape[0] > 1:
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_distances(pts, pts)
         np.fill_diagonal(d2, np.inf)
         if d2.min() <= 0.0:
             raise ValueError("interpolation nodes must be distinct")
@@ -249,12 +233,11 @@ def interpolate(point_set):
     target = _RESIDUAL_REL_TOL * float(np.linalg.norm(fvals))
     if residual > target:
         raise KernelConditioningError(residual, target)
-    return SignedMixture(pts, coeffs, residual=residual, kernel_condition=condition)
+    return coeffs, condition
 
 
 def _cross_min_distance(a, b):
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min()))
+    return float(np.sqrt(_sq_distances(a, b).min()))
 
 
 def build_close_pair(x_set, y_set, rng=None, l1_samples=200_000):
@@ -269,10 +252,10 @@ def build_close_pair(x_set, y_set, rng=None, l1_samples=200_000):
     cross = _cross_min_distance(x_set.points, y_set.points)
     if cross <= _CUBE_TOL:
         raise ValueError("point sets must be disjoint")
-    fx = interpolate(x_set)
-    fy = interpolate(y_set)
+    wx, condition_x = interpolate(x_set)
+    wy, condition_y = interpolate(y_set)
     centers = np.vstack([x_set.points, y_set.points])
-    coeffs = np.concatenate([fx.coefficients, -fy.coefficients])
+    coeffs = np.concatenate([wx, -wy])
     pos = coeffs > 0
     neg = coeffs < 0
     if not pos.any() or not neg.any():
@@ -288,35 +271,30 @@ def build_close_pair(x_set, y_set, rng=None, l1_samples=200_000):
         p=p,
         q=q,
         l1_distance=gap,
-        min_center_distance=_cross_min_distance(centers[pos], centers[neg]),
         alpha=alpha,
         beta=beta,
         fill=max(x_set.fill, y_set.fill),
-        kernel_condition=max(fx.kernel_condition, fy.kernel_condition),
+        kernel_condition=max(condition_x, condition_y),
     )
 
 
-def l1_distance(p, q, method=None, rng=None, samples=200_000, return_error=False):
+def l1_distance(p, q, rng=None, samples=200_000):
     """L1 distance between two mixture densities over all of R^n.
 
     Univariate instances integrate |p - q| by adaptive quadrature over
     [-8, 9] widened to reach 8 standard deviations beyond every mean, which
-    holds all but < 1e-14 of both masses; the stray mass is added to the
-    error report.  Higher dimensions use importance sampling from the
-    balanced mixture (p + q)/2, whose weight |p - q| / m is bounded by 2;
-    a relative error above 50% triggers an unreliable-estimate warning.
+    holds all but < 1e-14 of both masses.  Higher dimensions use importance
+    sampling of ``samples`` (at least 2) draws from the balanced mixture
+    (p + q)/2, whose weight |p - q| / m is bounded by 2; a relative error
+    above 50% triggers an unreliable-estimate warning.
     """
     if p.n != q.n:
         raise ValueError("mixtures live in different dimensions")
-    if method is None:
-        method = "quadrature" if p.n == 1 else "monte-carlo"
-    if method == "quadrature":
-        if p.n != 1:
-            raise ValueError("quadrature path is univariate")
+    if p.n == 1:
         lo, hi = _QUAD_RANGE
         for gmm in (p, q):
             mus = gmm.means.ravel()
-            reach = _QUAD_SIGMAS * _std(gmm)
+            reach = _QUAD_SIGMAS * math.sqrt(float(gmm.covariance[0, 0]))
             lo = min(lo, float(mus.min()) - reach)
             hi = max(hi, float(mus.max()) + reach)
 
@@ -328,45 +306,27 @@ def l1_distance(p, q, method=None, rng=None, samples=200_000, return_error=False
         breaks = np.unique(np.concatenate([p.means.ravel(), q.means.ravel()])).tolist()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
-            value, err = quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)
-        tail = _mass_outside(p, lo, hi) + _mass_outside(q, lo, hi)
-        value = float(value)
-        err = float(err) + tail
-    elif method == "monte-carlo":
-        if rng is None:
-            raise ValueError("monte-carlo estimation needs an rng")
-        samples = int(samples)
-        half = samples // 2
-        x = np.vstack([sample_gmm(p, half, rng), sample_gmm(q, samples - half, rng)])
-        dp = gmm_pdf(p, x)
-        dq = gmm_pdf(q, x)
-        ratios = np.abs(dp - dq) / (0.5 * (dp + dq))
-        value = float(ratios.mean())
-        err = float(ratios.std(ddof=1)) / math.sqrt(samples)
-        if err > 0.5 * max(value, 1e-300):
-            warnings.warn(
-                "L1 Monte Carlo estimate has relative error above 50%",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    else:
-        raise ValueError("method must be 'quadrature' or 'monte-carlo'")
-    if return_error:
-        return value, err
+            value, _ = quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)
+        return float(value)
+    if rng is None:
+        raise ValueError("monte-carlo estimation needs an rng")
+    samples = int(samples)
+    if samples < 2:
+        raise ValueError(f"monte-carlo estimation needs at least 2 samples, got {samples}")
+    half = samples // 2
+    x = np.vstack([sample_gmm(p, half, rng), sample_gmm(q, samples - half, rng)])
+    dp = gmm_pdf(p, x)
+    dq = gmm_pdf(q, x)
+    ratios = np.abs(dp - dq) / (0.5 * (dp + dq))
+    value = float(ratios.mean())
+    err = float(ratios.std(ddof=1)) / math.sqrt(samples)
+    if err > 0.5 * max(value, 1e-300):
+        warnings.warn(
+            "L1 Monte Carlo estimate has relative error above 50%",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return value
-
-
-def _std(gmm):
-    """Standard deviation of a univariate mixture's components."""
-    return math.sqrt(float(gmm.covariance[0, 0]))
-
-
-def _mass_outside(gmm, lo, hi):
-    """Univariate mixture mass outside [lo, hi]."""
-    mus = gmm.means.ravel()
-    sigma = _std(gmm)
-    outside = ndtr((lo - mus) / sigma) + ndtr((mus - hi) / sigma)
-    return float(np.sum(gmm.weights * outside))
 
 
 def random_points(count, dimension, rng):
@@ -378,7 +338,7 @@ def _fill_resolution(dimension):
     return {1: 512, 2: 48, 3: 14}.get(int(dimension), 10)
 
 
-def pigeonhole_pair(points, rng, retries=5, l1_samples=200_000):
+def pigeonhole_pair(points, rng, l1_samples=200_000):
     """Equal-component-count close pair from 4k^2 points.
 
     The points are split into 2k groups of 2k; each group's first and last k
@@ -386,7 +346,7 @@ def pigeonhole_pair(points, rng, retries=5, l1_samples=200_000):
     count differences take at most 2k - 1 values, so two groups must agree;
     averaging those two pairs crosswise gives mixtures with equal counts.
     Groups whose build degenerates are skipped; if no collision survives,
-    the points are reshuffled (bounded retries).
+    the points are reshuffled, at most _RETRIES rounds in all.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     total = points.shape[0]
@@ -395,7 +355,7 @@ def pigeonhole_pair(points, rng, retries=5, l1_samples=200_000):
         raise ValueError("need 4k^2 points with k >= 2")
     resolution = _fill_resolution(points.shape[1])
     order = np.arange(total)
-    for _ in range(int(retries)):
+    for _ in range(_RETRIES):
         built = []
         for group in order.reshape(2 * k, 2 * k):
             sub = points[group]
@@ -444,37 +404,22 @@ def _combine_pairs(first, second, rng, l1_samples):
         p=p,
         q=q,
         l1_distance=l1_distance(p, q, rng=rng, samples=l1_samples),
-        min_center_distance=_cross_min_distance(p.means.T, q.means.T),
         fill=max(first.fill, second.fill),
         kernel_condition=max(first.kernel_condition, second.kernel_condition),
     )
 
 
-def embed_as_ica(pair, delta=1e-9):
+def embed_as_ica(pair):
     """Noisy ICA models of both mixtures of a pair.
 
     lambda is set to the component count, so the source rates are w_i lambda
-    and sum back to lambda.  tau is the certified tail threshold at the given
-    delta: the smallest cutoff whose actual tail mass is below delta.
+    and sum back to lambda.  tau is the certified tail threshold at delta =
+    1e-9: the smallest cutoff whose actual tail mass is below delta.
     """
-    models = []
-    for gmm in (pair.p, pair.q):
-        lam = float(gmm.m)
-        tau = certified_tail_threshold(delta, lam)
-        norms = np.linalg.norm(gmm.means, axis=0)
-        if np.any(norms <= 0):
-            raise ValueError("a zero center cannot be unit-normalized")
-        models.append(
-            IcaModel(
-                mixing=gmm.means / norms,
-                rates=gmm.weights * lam,
-                scales=norms,
-                noise_covariance=gmm.covariance,
-                tau=int(tau),
-                lam=lam,
-            )
-        )
-    return tuple(models)
+    return tuple(
+        IcaModel(gmm, float(gmm.m), certified_tail_threshold(_EMBED_DELTA, float(gmm.m)))
+        for gmm in (pair.p, pair.q)
+    )
 
 
 def equispaced_interleaved(h):

@@ -99,46 +99,38 @@ class MixtureSource:
 @dataclass
 class IcaModel:
     """Noisy ICA model X = mixing diag(scales) S + eta(tau) of a Poissonized
-    mixture.
+    mixture: the mixture with its Poisson repetition rate lam and truncation
+    tau.
 
     mixing : (n, m) unit columns, the normalized means of the mixture.
-    rates : Poisson rates w_i * lambda of the sources; they sum to lambda.
     scales : norms of those means; source i is scale_i * Poisson(rate_i).
-    noise_covariance : (n, n) noise covariance of one mixture draw.
-    lam, tau : Poisson repetition rate and truncation.
-    to_gmm() reconstructs the mixture whose Poissonization realizes exactly
-    this model.
+    rates : Poisson rates w_i * lambda of the sources; they sum to lambda.
+    The noise eta(tau) is N(0, tau Sigma) for the mixture's covariance.
     """
 
-    mixing: np.ndarray
-    rates: np.ndarray
-    scales: np.ndarray
-    noise_covariance: np.ndarray
+    gmm: GmmParams
     lam: float
     tau: float
 
     def __post_init__(self):
-        self.mixing = np.asarray(self.mixing, dtype=float)
-        self.rates = np.asarray(self.rates, dtype=float)
-        self.scales = np.asarray(self.scales, dtype=float)
-        self.noise_covariance = np.asarray(self.noise_covariance, dtype=float)
-        n, m = self.mixing.shape
-        norms = np.linalg.norm(self.mixing, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
-            raise ValueError("mixing columns must be unit norm (1e-12)")
-        if self.rates.shape != (m,) or self.scales.shape != (m,):
-            raise ValueError("rates and scales need one entry per column")
-        if np.any(self.rates <= 0) or np.any(self.scales <= 0):
-            raise ValueError("rates and scales must be positive")
-        if self.noise_covariance.shape != (n, n):
-            raise ValueError("noise covariance shape mismatch")
-        if abs(float(self.rates.sum()) - self.lam) > 1e-9 * max(1.0, self.lam):
-            raise ValueError("rates must sum to lambda")
+        if np.any(self.scales <= 0):
+            raise ValueError("a zero center cannot be unit-normalized")
+
+    @property
+    def scales(self):
+        return np.linalg.norm(self.gmm.means, axis=0)
+
+    @property
+    def mixing(self):
+        return self.gmm.means / self.scales
+
+    @property
+    def rates(self):
+        return self.gmm.weights * self.lam
 
     def to_gmm(self):
-        return GmmParams(
-            self.mixing * self.scales, self.rates / self.lam, self.noise_covariance
-        )
+        """The mixture whose Poissonization realizes this model."""
+        return self.gmm
 
 
 def lift(means):

@@ -314,6 +314,10 @@ class TestConfigErrors:
         ("learn", {"samples": 10**400, "generator": {"n": 2, "m": 2}},
          "int too large to convert to float"),
         ("reduction-check", {"samples": 1}, "samples must be at least 2"),
+        ("hardness", {"mode": "pigeonhole", "dimension": 2, "l1_samples": 1},
+         "l1_samples must be at least 2"),
+        ("ica-bench", {"n": 2, "m": 5, "d": 6},
+         "m must be at most C(n + d/2 - 1, d/2) = 4 for n = 2, d = 6, got 5"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -371,7 +375,7 @@ def learn_configs(draw):
     config = {
         "d": draw(st.sampled_from([4, 6])),
         "samples": draw(st.integers(1, 3000)),
-        "tau": draw(st.sampled_from(["certified", "schedule", 30])),
+        "tau": draw(st.sampled_from(["certified", 9, 30])),
         "with_weights": draw(st.booleans()),
         "seed": draw(st.integers(0, 1000)),
     }
@@ -404,6 +408,41 @@ def reduction_check_configs(draw):
     }
 
 
+@st.composite
+def ica_bench_configs(draw):
+    """Small `ica-bench` configs, m above the rank bound C(n + d/2 - 1, d/2)
+    included."""
+    return {
+        "n": draw(st.integers(1, 3)),
+        "m": draw(st.integers(1, 7)),
+        "d": draw(st.sampled_from([4, 6])),
+        "sigma_floor": draw(st.sampled_from([0, 1e-3])),
+        "trials": 1,
+        "seed": draw(st.integers(0, 1000)),
+    }
+
+
+@st.composite
+def hardness_configs(draw):
+    """Small `hardness` configs of either mode; too few L1 samples and
+    spacings that are not 1/(2k) included."""
+    if draw(st.booleans()):
+        return {
+            "mode": "decay",
+            "h_values": draw(st.lists(st.sampled_from([0.5, 0.25, 0.3]),
+                                      min_size=1, max_size=2)),
+            "seed": draw(st.integers(0, 1000)),
+        }
+    return {
+        "mode": "pigeonhole",
+        "k": draw(st.integers(2, 3)),
+        "dimension": draw(st.integers(1, 2)),
+        "instances": 1,
+        "l1_samples": draw(st.sampled_from([1, 2, 1000])),
+        "seed": draw(st.integers(0, 1000)),
+    }
+
+
 class TestFuzzedConfigs:
     """Every run ends in success (0), a usage error (1) or a modeled
     failure (2), never in a traceback."""
@@ -411,8 +450,10 @@ class TestFuzzedConfigs:
     @given(data=st.one_of(
         st.tuples(st.just("learn"), learn_configs()),
         st.tuples(st.just("reduction-check"), reduction_check_configs()),
+        st.tuples(st.just("ica-bench"), ica_bench_configs()),
+        st.tuples(st.just("hardness"), hardness_configs()),
     ))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_never_raises(self, data):
         command, config = data
         with tempfile.TemporaryDirectory() as directory:

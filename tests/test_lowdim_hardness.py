@@ -12,8 +12,6 @@ from poissonize.lowdim_hardness import (
     KernelConditioningError,
     MixturePair,
     PointSet,
-    SignedMixture,
-    _mass_outside,
     build_close_pair,
     compute_fill,
     embed_as_ica,
@@ -99,21 +97,17 @@ class TestTargetF:
         split = target_f(np.array([0.2])) * target_f(np.array([0.7]))
         assert target_f(x) == pytest.approx(float(split), rel=1e-14)
 
-    def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            target_f(np.array([0.5, 0.5]), n=3)
-
 
 class TestInterpolate:
     def test_single_point_coefficient(self):
-        sm = interpolate(PointSet(np.array([[0.3]])))
+        coeffs, _ = interpolate(PointSet(np.array([[0.3]])))
         expected = float(target_f(np.array([0.3]))) * math.sqrt(2.0 * math.pi)
-        assert sm.coefficients[0] == pytest.approx(expected, rel=1e-12)
+        assert coeffs[0] == pytest.approx(expected, rel=1e-12)
 
     def test_nodes_reproduced(self):
         for pts in (equispaced(20), random_points(9, 2, SeededRng(33))):
-            sm = interpolate(PointSet(pts))
-            values = sm.evaluate(pts)
+            coeffs, _ = interpolate(PointSet(pts))
+            values = kernel(pts, pts) @ coeffs
             np.testing.assert_allclose(values, target_f(pts), atol=1e-8)
 
     def test_sup_gap_shrinks_with_more_nodes(self):
@@ -122,8 +116,9 @@ class TestInterpolate:
         grid = np.linspace(0.0, 1.0, 2001)[:, None]
 
         def gap(k):
-            sm = interpolate(PointSet(equispaced(k)))
-            return float(np.abs(sm.evaluate(grid) - target_f(grid)).max())
+            nodes = equispaced(k)
+            coeffs, _ = interpolate(PointSet(nodes))
+            return float(np.abs(kernel(grid, nodes) @ coeffs - target_f(grid)).max())
 
         assert gap(20) < 1e-3 * gap(5)
 
@@ -132,19 +127,22 @@ class TestInterpolate:
             interpolate(PointSet(np.array([[0.5], [0.5]])))
 
     def test_condition_recorded(self):
-        sm = interpolate(PointSet(equispaced(10)))
-        assert sm.kernel_condition >= 1.0
-        assert sm.residual >= 0.0
+        _, condition = interpolate(PointSet(equispaced(10)))
+        assert condition >= 1.0
 
     def test_evaluate_matches_kernel_sum(self):
-        sm = interpolate(PointSet(equispaced(4)))
-        x = np.array([[0.37]])
-        manual = (kernel(x, sm.centers) @ sm.coefficients).item()
-        assert sm.evaluate(x)[0] == pytest.approx(manual, rel=1e-14)
-
-    def test_signed_mixture_shape_check(self):
-        with pytest.raises(ValueError):
-            SignedMixture(np.zeros((3, 1)), np.zeros(2))
+        """The coefficients pair with the nodes in order: the kernel matrix
+        product is the sum of unit Gaussian bumps at the nodes."""
+        nodes = equispaced(4)
+        coeffs, _ = interpolate(PointSet(nodes))
+        x = 0.37
+        manual = sum(
+            w * math.exp(-0.5 * (x - c) ** 2) / math.sqrt(2.0 * math.pi)
+            for w, c in zip(coeffs, nodes.ravel())
+        )
+        assert (kernel(np.array([[x]]), nodes) @ coeffs).item() == pytest.approx(
+            manual, rel=1e-12
+        )
 
 
 class TestBuildClosePair:
@@ -220,16 +218,19 @@ class TestMixturePair:
     def test_shared_center_rejected(self):
         p = unit_gaussian([0.5])
         with pytest.raises(ValueError):
-            MixturePair(p=p, q=p, l1_distance=0.0, min_center_distance=1.0)
+            MixturePair(p=p, q=p, l1_distance=0.0)
 
     def test_nonpositive_center_distance_rejected(self):
+        """The pair measures its center distance itself, as the closest
+        centers across p and q; one shared center among several makes it 0,
+        and the pair is refused."""
+        p = GmmParams(np.array([[0.2, 0.5]]), np.array([0.5, 0.5]), np.eye(1))
+        q = GmmParams(np.array([[0.9, 0.8]]), np.array([0.5, 0.5]), np.eye(1))
+        pair = MixturePair(p=p, q=q, l1_distance=0.1)
+        assert pair.min_center_distance == pytest.approx(0.3, abs=1e-15)
+        shared = GmmParams(np.array([[0.9, 0.5]]), np.array([0.5, 0.5]), np.eye(1))
         with pytest.raises(ValueError):
-            MixturePair(
-                p=unit_gaussian([0.2]),
-                q=unit_gaussian([0.8]),
-                l1_distance=0.1,
-                min_center_distance=0.0,
-            )
+            MixturePair(p=p, q=shared, l1_distance=0.1)
 
 
 class TestL1Distance:
@@ -244,39 +245,42 @@ class TestL1Distance:
         assert expected == pytest.approx(0.76585, abs=1e-5)
 
     def test_distant_mixtures_approach_total_mass(self):
-        """Mass outside the integration range lands in the error term, so
-        value + error covers the true distance 2(2 Phi(3.5) - 1)."""
-        value, err = l1_distance(
-            unit_gaussian([0.0]), unit_gaussian([7.0]), return_error=True
-        )
+        """Means 7 apart: the range reaches 8 standard deviations past both,
+        so the value nears the true distance 2(2 Phi(3.5) - 1)."""
+        value = l1_distance(unit_gaussian([0.0]), unit_gaussian([7.0]))
         assert value > 1.95
-        assert 2.0 - value <= err + 1e-3
 
     def test_wide_components_closed_form(self):
-        """N(0, 9) against N(3, 9): the range and the tail charge follow the
-        standard deviation, and the reported error bounds the actual one."""
+        """N(0, 9) against N(3, 9): the range follows the standard
+        deviation."""
         p = GmmParams(np.array([[0.0]]), np.array([1.0]), np.array([[9.0]]))
         q = GmmParams(np.array([[3.0]]), np.array([1.0]), np.array([[9.0]]))
-        value, err = l1_distance(p, q, return_error=True)
         expected = 2.0 * (2.0 * float(ndtr(3.0 / (2.0 * 3.0))) - 1.0)
-        assert value == pytest.approx(expected, abs=1e-9)
-        assert abs(value - expected) <= err
-        # the tail charge itself, one standard deviation either side
-        assert _mass_outside(p, -3.0, 3.0) == pytest.approx(2.0 * float(ndtr(-1.0)))
+        assert l1_distance(p, q) == pytest.approx(expected, abs=1e-9)
 
     def test_monte_carlo_matches_quadrature(self):
-        p, q = unit_gaussian([0.0]), unit_gaussian([1.0])
-        mc = l1_distance(p, q, method="monte-carlo", rng=SeededRng(7), samples=200_000)
-        assert mc == pytest.approx(l1_distance(p, q), abs=0.02)
+        """Unit Gaussians at distance 1 in 2-D are as far apart in L1 as in
+        1-D: the 2-D Monte Carlo estimate matches the closed form
+        2(2 Phi(1/2) - 1), which the 1-D quadrature reproduces."""
+        expected = 2.0 * (2.0 * float(ndtr(0.5)) - 1.0)
+        assert l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0])) == pytest.approx(
+            expected, abs=1e-9
+        )
+        p, q = unit_gaussian([0.0, 0.0]), unit_gaussian([1.0, 0.0])
+        mc = l1_distance(p, q, rng=SeededRng(7), samples=200_000)
+        assert mc == pytest.approx(expected, abs=0.01)
 
     def test_monte_carlo_needs_rng(self):
         p = unit_gaussian([0.0, 0.0])
         with pytest.raises(ValueError):
-            l1_distance(p, p, method="monte-carlo")
+            l1_distance(p, p)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0]), method="series")
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_monte_carlo_needs_two_samples(self, samples):
+        """The error estimate needs two draws; fewer is refused by name."""
+        p, q = unit_gaussian([0.0, 0.0]), unit_gaussian([1.0, 0.0])
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            l1_distance(p, q, rng=SeededRng(1), samples=samples)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -286,7 +290,7 @@ class TestL1Distance:
         p = unit_gaussian([0.0, 0.0])
         q = unit_gaussian([0.05, 0.0])
         with pytest.warns(RuntimeWarning):
-            l1_distance(p, q, method="monte-carlo", rng=SeededRng(6), samples=4)
+            l1_distance(p, q, rng=SeededRng(6), samples=4)
 
 
 class TestEquispacedInterleaved:
@@ -345,9 +349,7 @@ class TestEmbedAsIca:
     def test_round_trip_to_gmm(self):
         pair = self.make_pair()
         d_p, _ = embed_as_ica(pair)
-        back = d_p.to_gmm()
-        np.testing.assert_allclose(back.means, pair.p.means, atol=1e-12)
-        np.testing.assert_allclose(back.weights, pair.p.weights, atol=1e-12)
+        assert d_p.to_gmm() is pair.p
 
     def test_descriptors_are_sampleable(self):
         pair = self.make_pair()
@@ -362,30 +364,16 @@ class TestEmbedAsIca:
             p=GmmParams(np.array([[0.0, 0.5]]), np.array([0.5, 0.5]), np.eye(1)),
             q=unit_gaussian([0.9]),
             l1_distance=0.1,
-            min_center_distance=0.4,
         )
         with pytest.raises(ValueError):
             embed_as_ica(pair)
 
     def test_descriptor_validation(self):
-        with pytest.raises(ValueError):
-            IcaModel(
-                mixing=np.eye(2) * 2.0,
-                rates=np.array([1.0, 1.0]),
-                scales=np.array([1.0, 1.0]),
-                noise_covariance=np.eye(2),
-                lam=2.0,
-                tau=10,
-            )
-        with pytest.raises(ValueError):
-            IcaModel(
-                mixing=np.eye(2),
-                rates=np.array([1.0, 0.5]),
-                scales=np.array([1.0, 1.0]),
-                noise_covariance=np.eye(2),
-                lam=2.0,
-                tau=10,
-            )
+        """A model built directly refuses a center at the origin too."""
+        gmm = GmmParams(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.5]),
+                        np.eye(2))
+        with pytest.raises(ValueError, match="zero center"):
+            IcaModel(gmm, 2.0, 10)
 
 
 class TestPairJson:

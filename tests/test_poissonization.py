@@ -108,39 +108,29 @@ class TestPoissonSplit:
 
 class TestIcaModel:
     def test_model_invariants_enforced(self):
+        """The model is its mixture with lam and tau, so the invariants hold
+        by construction: unit mixing columns, positive scales, and positive
+        rates that sum to lam."""
+        gmm = GmmParams(np.array([[3.0, 0.0], [4.0, 2.0]]), np.array([0.25, 0.75]),
+                        np.zeros((2, 2)))
+        model = IcaModel(gmm, 2.0, 10.0)
+        np.testing.assert_allclose(model.mixing, [[0.6, 0.0], [0.8, 1.0]], atol=1e-15)
+        np.testing.assert_allclose(model.scales, [5.0, 2.0], atol=1e-15)
+        np.testing.assert_allclose(model.rates, [0.5, 1.5], atol=1e-15)
+        assert model.rates.sum() == pytest.approx(model.lam, abs=1e-15)
+        zero = GmmParams(np.array([[3.0, 0.0], [4.0, 0.0]]), np.array([0.25, 0.75]),
+                         np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            IcaModel(
-                mixing=np.array([[1.0], [1.0]]),  # not unit norm
-                rates=np.array([1.0]),
-                scales=np.array([1.0]),
-                noise_covariance=np.zeros((2, 2)),
-                lam=1.0,
-                tau=10.0,
-            )
-        with pytest.raises(ValueError):
-            IcaModel(
-                mixing=np.eye(2),
-                rates=np.array([1.0, 1.0]),
-                scales=np.array([1.0, 1.0]),
-                noise_covariance=np.zeros((3, 3)),  # not (n, n)
-                lam=2.0,
-                tau=10.0,
-            )
+            IcaModel(zero, 2.0, 10.0)
 
     def test_to_gmm_rebuilds_the_mixture(self):
-        mixing = np.array([[0.6, 0.0], [0.8, 1.0]])
-        model = IcaModel(
-            mixing=mixing,
-            rates=np.array([0.5, 1.5]),
-            scales=np.array([5.0, 2.0]),
-            noise_covariance=0.3 * np.eye(2),
-            lam=2.0,
-            tau=10.0,
-        )
-        back = model.to_gmm()
-        np.testing.assert_allclose(back.means, [[3.0, 0.0], [4.0, 2.0]], atol=1e-12)
-        np.testing.assert_allclose(back.weights, [0.25, 0.75], atol=1e-12)
-        np.testing.assert_array_equal(back.covariance, 0.3 * np.eye(2))
+        """to_gmm returns the mixture itself; mixing * scales gives its
+        means back."""
+        gmm = GmmParams(np.array([[3.0, 0.0], [4.0, 2.0]]), np.array([0.25, 0.75]),
+                        0.3 * np.eye(2))
+        model = IcaModel(gmm, 2.0, 10.0)
+        assert model.to_gmm() is gmm
+        np.testing.assert_allclose(model.mixing * model.scales, gmm.means, atol=1e-12)
 
 
 class TestSampleApproxIca:
