@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .lowdim_hardness import (
 )
 from .poissonization import poisson_split
 from .records import write_records, write_summary
-from .smoothed_analysis import FAMILIES, SmoothedTrial, run_smoothed
+from .smoothed_analysis import FAMILIES, run_smoothed
 from .tensor_linalg import khatri_rao_power, sigma_min
 
 __all__ = ["main", "UsageError"]
@@ -121,6 +121,14 @@ def _count(value, name):
     return value
 
 
+def _finite(value, name):
+    """A finite real number from the config; Python's JSON admits NaN and inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _cumulant_order(value):
     """The flattened cumulant order d, one the ICA solver supports."""
     d = int(value)
@@ -185,11 +193,11 @@ def _cmd_learn(config, out_dir):
         seed = int(config.get("seed", 0))
         trials = config.get("trials", 1)
         d = _cumulant_order(config.get("d", 4))
-        delta = float(config.get("delta", 0.1))
+        delta = _finite(config.get("delta", 0.1), "delta")
         _require(0.0 < delta < 1.0,
                  f"bad config value: delta must lie in (0, 1), got {delta}")
         # eps is accepted and checked but has no effect
-        eps = float(config.get("eps", 0.25))
+        eps = _finite(config.get("eps", 0.25), "eps")
         _require(eps > 0.0, f"bad config value: eps must be positive, got {eps}")
         samples = _count(config.get("samples", 1_000_000), "samples")
         # the certified cutoff spends delta / (2 samples) on each draw
@@ -199,23 +207,22 @@ def _cmd_learn(config, out_dir):
         if not isinstance(with_weights, bool):
             raise TypeError(f"with_weights must be true or false, got {with_weights!r}")
         chunk = _count(config.get("chunk", 1 << 17), "chunk")
-        fixed_tau = None if tau_setting == "certified" else float(tau_setting)
+        fixed_tau = None if tau_setting == "certified" else _finite(tau_setting, "tau")
 
     generator = dict(_GENERATOR_DEFAULTS)
     if "generator" in config:
         _check_keys(config["generator"], _GENERATOR_DEFAULTS, where="generator")
         with _config_values():
             generator.update({
-                key: type(_GENERATOR_DEFAULTS[key])(value)
+                key: _count(value, f"generator {key}") if key in ("n", "m")
+                else _finite(value, f"generator {key}")
                 for key, value in config["generator"].items()
             })
-            generator["n"] = _count(generator["n"], "generator n")
-            generator["m"] = _count(generator["m"], "generator m")
             noise = generator["noise"]
             _require(noise >= 0.0,
                      f"bad config value: generator noise must be nonnegative, got {noise}")
             low, high = generator["norm_low"], generator["norm_high"]
-            _require(0.0 < low <= high < math.inf,
+            _require(0.0 < low <= high,
                      "bad config value: need 0 < generator norm_low <= norm_high, "
                      f"got {low} and {high}")
 
@@ -227,7 +234,7 @@ def _cmd_learn(config, out_dir):
     # the Poisson rate lambda is the component count m
     components = fixed_gmm.m if fixed_gmm is not None else generator["m"]
     if fixed_tau is not None:
-        _require(math.isfinite(fixed_tau) and fixed_tau > math.e * components,
+        _require(fixed_tau > math.e * components,
                  "bad config value: tau must be finite and exceed "
                  f"e * m = {math.e * components:.6g}, got {fixed_tau}")
 
@@ -303,7 +310,7 @@ def _cmd_learn(config, out_dir):
         "trial_seconds": timings,
         "errors": errors,
     }
-    return records, None, resolved, extra, status
+    return records, resolved, extra, status
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +322,12 @@ def _cmd_smoothed(config, out_dir):
     _check_keys(config, allowed)
     with _config_values():
         families = _array(config, "families", FAMILIES)
+        _require(families, "bad config value: families must not be empty")
         unknown = sorted(set(families) - set(FAMILIES))
         _require(not unknown, f"unknown families: {', '.join(unknown)}")
         n = int(config.get("n", 10))
         _require(n >= 3, f"bad config value: n must be at least 3, got {n}")
-        sigma = float(config.get("sigma", 0.1))
+        sigma = _finite(config.get("sigma", 0.1), "sigma")
         _require(sigma > 0.0, f"bad config value: sigma must be positive, got {sigma}")
         trials = config.get("trials", 50)
         seed = int(config.get("seed", 0))
@@ -340,8 +348,7 @@ def _cmd_smoothed(config, out_dir):
             all(r.sigma_min_kr_odot2 >= r.sigma_min_kr2 for r in results)
         ),
     }
-    columns = [f.name for f in fields(SmoothedTrial)]
-    return records, columns, resolved, extra, 0
+    return records, resolved, extra, 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +373,9 @@ def _cmd_hardness(config, out_dir):
     status = 0
     if mode == "decay":
         with _config_values():
-            h_values = [float(h) for h in _array(config, "h_values", [0.1, 0.05, 0.025])]
-            if not h_values:
-                raise ValueError("h_values must not be empty")
+            h_values = [_finite(h, "h_values")
+                        for h in _array(config, "h_values", [0.1, 0.05, 0.025])]
+            _require(h_values, "bad config value: h_values must not be empty")
             designs = [equispaced_interleaved(h) for h in h_values]
         resolved = {"mode": mode, "h_values": h_values, "seed": seed}
         records = []
@@ -433,7 +440,7 @@ def _cmd_hardness(config, out_dir):
             records.append(row)
         extra = {"failures": failures,
                  "built_count": sum(1 for r in records if r["built"])}
-    return records, None, resolved, extra, status
+    return records, resolved, extra, status
 
 
 def _write_pair(out_dir, name, pair):
@@ -451,8 +458,8 @@ def _random_conditioned_mixing(n, m, d, floor, rng, tries=200):
     for _ in range(tries):
         a = rng.standard_normal((n, m))
         a /= np.linalg.norm(a, axis=0)
-        if sigma_min(khatri_rao_power(a, d // 2)) > floor:
-            return a
+        if (conditioning := sigma_min(khatri_rao_power(a, d // 2))) > floor:
+            return a, conditioning
     raise UsageError(f"no mixing matrix with sigma_min above {floor} found")
 
 
@@ -471,9 +478,9 @@ def _cmd_ica_bench(config, out_dir):
         _require(m <= rank_bound, "bad config value: m must be at most "
                  f"C(n + d/2 - 1, d/2) = {rank_bound} for n = {n}, d = {d}, got {m}")
         trials = config.get("trials", 20)
-        floor = float(config.get("sigma_floor", 1e-3))
-        cum_low = float(config.get("cum_low", 1.0))
-        cum_high = float(config.get("cum_high", 2.0))
+        floor = _finite(config.get("sigma_floor", 1e-3), "sigma_floor")
+        cum_low = _finite(config.get("cum_low", 1.0), "cum_low")
+        cum_high = _finite(config.get("cum_high", 2.0), "cum_high")
         _require(0.0 < cum_low <= cum_high,
                  "bad config value: need 0 < cum_low <= cum_high, "
                  f"got {cum_low} and {cum_high}")
@@ -486,7 +493,7 @@ def _cmd_ica_bench(config, out_dir):
     records = []
     for trial in range(trials):
         rng = root.derive(trial)
-        mixing = _random_conditioned_mixing(n, m, d, floor, rng)
+        mixing, conditioning = _random_conditioned_mixing(n, m, d, floor, rng)
         cums_d = rng.uniform(cum_low, cum_high, size=m)
         cums_next = rng.uniform(cum_low, cum_high, size=m)
         m0 = analytic_ica_cumulant(mixing, cums_d, d).as_matrix()
@@ -497,13 +504,13 @@ def _cmd_ica_bench(config, out_dir):
             "trial": trial,
             "seed": rng.seed,
             "n": n, "m": m, "d": d,
-            "sigma_min_kr": float(sigma_min(khatri_rao_power(mixing, d // 2))),
+            "sigma_min_kr": float(conditioning),
             "aligned_error": max_error,
             "eigengap": estimate.eigengap,
         })
     worst = max(r["aligned_error"] for r in records)
     extra = {"max_aligned_error": worst, "all_below_1e-6": bool(worst < 1e-6)}
-    return records, None, resolved, extra, 0
+    return records, resolved, extra, 0
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +538,21 @@ def _cmd_reduction_check(config, out_dir):
     }
     _check_keys(config, allowed)
     with _config_values():
-        lam = float(config.get("lam", 5.0))
+        lam = _finite(config.get("lam", 5.0), "lam")
         _require(lam > 0.0, f"bad config value: lam must be positive, got {lam}")
-        probs = [float(p) for p in _array(config, "probs", [0.2, 0.3, 0.5])]
+        probs = [_finite(p, "probs") for p in _array(config, "probs", [0.2, 0.3, 0.5])]
         _require(probs, "bad config value: probs must not be empty")
         _require(min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= 1e-12,
                  f"bad config value: probs must be nonnegative and sum to 1, got {probs}")
         samples = _count(config.get("samples", 100_000), "samples")
         _require(samples >= 2, "bad config value: samples must be at least 2 "
                  f"for the pair correlations, got {samples}")
-        delta = float(config.get("delta", 1e-6))
+        delta = _finite(config.get("delta", 1e-6), "delta")
         _require(0.0 < delta < 1.0,
                  f"bad config value: delta must lie in (0, 1), got {delta}")
-        marginal_tol = float(config.get("marginal_tol", 0.02))
-        corr_tol = float(config.get("corr_tol", 0.02))
-        grid_lams = [float(v) for v in _array(config, "grid_lams", range(1, 9))]
+        marginal_tol = _finite(config.get("marginal_tol", 0.02), "marginal_tol")
+        corr_tol = _finite(config.get("corr_tol", 0.02), "corr_tol")
+        grid_lams = [_finite(v, "grid_lams") for v in _array(config, "grid_lams", range(1, 9))]
         grid_taus = [int(v) for v in _array(config, "grid_taus", range(0, 21))]
         _require(grid_lams and grid_taus,
                  "bad config value: grid_lams and grid_taus must not be empty")
@@ -612,7 +619,7 @@ def _cmd_reduction_check(config, out_dir):
         "lemma_tail": lemma_tail,
         "certified_tail": certified_tail,
     }
-    return records, None, resolved, extra, 0
+    return records, resolved, extra, 0
 
 
 # ---------------------------------------------------------------------------
@@ -654,11 +661,9 @@ def main(argv=None):
         out_dir = args.out or config.get("out") or "."
         os.makedirs(out_dir, exist_ok=True)
         started = time.perf_counter()
-        records, columns, resolved, extra, status = _COMMANDS[args.command](
-            config, out_dir
-        )
+        records, resolved, extra, status = _COMMANDS[args.command](config, out_dir)
         csv_path = os.path.join(out_dir, "records.csv")
-        write_records(csv_path, records, columns)
+        write_records(csv_path, records)
         summary = {
             "command": args.command,
             "version": __version__,

@@ -41,11 +41,11 @@ class GmmParams:
     """Parameters of a Gaussian mixture with shared covariance.
 
     means : ndarray, shape (n, m)
-        Component means as columns.
+        Finite component means as columns.
     weights : ndarray, shape (m,)
         Strictly positive, summing to 1 within 1e-12.
     covariance : ndarray, shape (n, n)
-        Symmetric positive semidefinite shared covariance.
+        Finite, symmetric positive semidefinite shared covariance.
 
     The density factors are computed on the first :func:`gmm_pdf` call and
     kept, so the parameters must not be changed after that call.
@@ -59,6 +59,8 @@ class GmmParams:
         self.means = np.asarray(self.means, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
         self.covariance = np.asarray(self.covariance, dtype=float)
+        if not all(np.isfinite(a).all() for a in (self.means, self.weights, self.covariance)):
+            raise ValueError("means, weights and covariance must be finite")
         if self.means.ndim != 2:
             raise ValueError("means must be an (n, m) matrix of columns")
         n, m = self.means.shape
@@ -177,7 +179,7 @@ class SeededRng:
         precomputed CDF table (identical recursion, vectorized lookup).
         """
         lam = float(lam)
-        if lam < 0:
+        if not lam >= 0:  # NaN too: the rejection loop would never accept
             raise ValueError("rate must be nonnegative")
         scalar = size is None
         count = 1 if scalar else int(np.prod(size))

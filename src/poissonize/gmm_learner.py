@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cumulants import analytic_ica_cumulant, assemble_flat_cumulant
+from .cumulants import MomentAccumulator, analytic_ica_cumulant, assemble_flat_cumulant
 from .distributions import GmmParams
 from .ica import (
+    _SUPPORTED_ORDERS,
     IllConditionedError,
     _match_columns,
-    estimate_cumulant_pair,
     recover_from_cumulants,
 )
 from .poissonization import (
@@ -186,7 +186,7 @@ def learn_means(
         (d in {4, 6}).
     delta : failure budget; by default tau is certified against delta / 2.
     rng : SeededRng; all randomness of the run flows through it.
-    samples : Poissonized sample budget N.
+    samples : Poissonized sample budget N, streamed ``chunk`` rows at a time.
     tau : optional truncation override; the run is then certified a
         posteriori through the recorded tv_gap.
     """
@@ -195,17 +195,25 @@ def learn_means(
         raise TypeError("source must be GmmParams or MixtureSource")
     if truth is not None and m != truth.m:
         raise ValueError(f"m is {m} but the mixture has {truth.m} components")
+    if d not in _SUPPORTED_ORDERS:
+        raise ValueError(f"cumulant order must be one of {_SUPPORTED_ORDERS}")
+    samples, chunk = int(samples), int(chunk)
+    if samples < 1 or chunk < 1:
+        raise ValueError(f"samples and chunk must be at least 1, got {samples} and {chunk}")
     params = compute_reduction_params(m, delta, samples, tau)
     gap = tv_gap(params.lam, params.tau, samples)
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
     if truth is not None:
         diagnostics["sigma_m_lifted"] = derive_bounds(truth, d)
 
-    def stream(count):
-        return sample_approx_ica_batch(source, params.lam, params.tau, rng, count)
-
     try:
-        m0, k_next, acc = estimate_cumulant_pair(stream, d, samples, chunk=chunk)
+        acc = None
+        for start in range(0, samples, chunk):
+            block = sample_approx_ica_batch(
+                source, params.lam, params.tau, rng, min(chunk, samples - start))
+            if acc is None:
+                acc = MomentAccumulator(block.shape[1], d + 1, shift=block.mean(axis=0))
+            acc.update(block)
     except SubroutineFailure as failure:
         diagnostics["failure_count"] = failure.count
         return LearnReport(
@@ -218,13 +226,11 @@ def learn_means(
             diagnostics=diagnostics,
         )
 
-    flat_weights = (
-        assemble_flat_cumulant(acc, _WEIGHT_ORDER)
-        if with_weights
-        else None
-    )
+    m0 = assemble_flat_cumulant(acc, d).as_matrix()
+    k_next = assemble_flat_cumulant(acc, d + 1).data
+    flat_weights = assemble_flat_cumulant(acc, _WEIGHT_ORDER) if with_weights else None
     return _recover(
-        m0, k_next, flat_weights, m, d, rng, params, truth, int(samples), diagnostics
+        m0, k_next, flat_weights, m, d, rng, params, truth, samples, diagnostics
     )
 
 

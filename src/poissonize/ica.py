@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cumulants import MomentAccumulator, assemble_flat_cumulant
 from .tensor_linalg import rank1_deflatten
 
 __all__ = [
     "IcaEstimate",
     "DegenerateModelError",
     "IllConditionedError",
-    "estimate_cumulant_pair",
     "recover_from_cumulants",
     "align_columns",
 ]
@@ -63,40 +61,6 @@ class IcaEstimate:
         norms = np.linalg.norm(self.columns, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("estimate columns must be unit norm")
-
-
-def estimate_cumulant_pair(sample_source, d, total, chunk=1 << 17):
-    """Streaming estimates of the order-d and order-(d+1) cumulant tensors.
-
-    ``sample_source(count)`` must return a fresh (count, n) block on each
-    call.  The first chunk fixes the centering shift; moments up to order
-    d + 1 are accumulated in one pass.
-
-    Returns (M0, k_next, acc): the flattened order-d cumulant in matrix view,
-    the flattened order-(d+1) tensor, and the moment accumulator (whose lower
-    orders the caller may reuse).
-    """
-    d = int(d)
-    if d not in _SUPPORTED_ORDERS:
-        raise ValueError(f"cumulant order must be one of {_SUPPORTED_ORDERS}")
-    total = int(total)
-    if total < 1:
-        raise ValueError("need at least one sample")
-    first = np.asarray(sample_source(min(chunk, total)), dtype=float)
-    if first.ndim != 2 or first.shape[0] == 0:
-        raise ValueError("sample source must return (count, n) blocks")
-    acc = MomentAccumulator(first.shape[1], d + 1, shift=first.mean(axis=0))
-    acc.update(first)
-    remaining = total - first.shape[0]
-    while remaining > 0:
-        block = np.asarray(sample_source(min(chunk, remaining)), dtype=float)
-        if block.shape[0] == 0:
-            raise ValueError("sample source dried up early")
-        acc.update(block)
-        remaining -= block.shape[0]
-    m0 = assemble_flat_cumulant(acc, d).as_matrix()
-    k_next = assemble_flat_cumulant(acc, d + 1).data
-    return m0, k_next, acc
 
 
 def _contract(k_next, n, u):

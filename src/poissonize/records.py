@@ -27,15 +27,13 @@ def format_value(value):
     return str(value)
 
 
-def write_records(path, records, columns=None):
-    """CSV writer with a fixed column set shared by every record; each
-    record is an ordered column -> value mapping."""
+def write_records(path, records):
+    """CSV writer; every record is a column -> value mapping with the same
+    column set, and the first record's order is the header's."""
     records = list(records)
-    if columns is None:
-        if not records:
-            raise ValueError("columns are required for an empty record set")
-        columns = list(records[0].keys())
-    columns = list(columns)
+    if not records:
+        raise ValueError("need at least one record for the header")
+    columns = list(records[0].keys())
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)

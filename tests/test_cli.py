@@ -48,8 +48,9 @@ def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
 
-def run_module(*args):
-    """``python -m poissonize ARGS`` in a child process, without an install."""
+def run_module(*args, timeout=None):
+    """``python -m poissonize ARGS`` in a child process, without an install;
+    past ``timeout`` seconds the child is killed and the call raises."""
     # A relative PYTHONPATH inherited from the parent would only resolve
     # from the repo root, so the package's own source directory goes first.
     src_dir = str(Path(poissonize.__file__).resolve().parents[1])
@@ -63,6 +64,7 @@ def run_module(*args):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -199,6 +201,20 @@ class TestLearnCommand:
         assert row["failed"] == "true"
         assert row["reason"].startswith("FeasibilityError: ")
 
+    def test_nan_weight_is_usage_error_not_a_hang(self, tmp_path):
+        """A NaN weight used to pass the mixture checks and leave the Poisson
+        sampler rejecting forever; in a child process with a time limit, it
+        is one usage-error line within seconds."""
+        gmm = {**TOY_LEARN["gmm"], "weights": [math.nan, 0.5]}
+        cfg = write_config(tmp_path, {**TOY_LEARN, "gmm": gmm})
+        out = tmp_path / "out"
+        result = run_module("learn", "--config", cfg, "--out", str(out), timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "poissonize: error: bad config value: "
+            "means, weights and covariance must be finite"]
+        assert not (out / "records.csv").exists()
+
     def test_gmm_and_generator_conflict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**TOY_LEARN, "generator": {"n": 3}})
         assert main(["learn", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -318,6 +334,22 @@ class TestConfigErrors:
          "l1_samples must be at least 2"),
         ("ica-bench", {"n": 2, "m": 5, "d": 6},
          "m must be at most C(n + d/2 - 1, d/2) = 4 for n = 2, d = 6, got 5"),
+        ("reduction-check", {"grid_lams": [1, math.nan]}, "grid_lams must be finite, got nan"),
+        ("reduction-check", {"grid_lams": [math.inf]}, "grid_lams must be finite, got inf"),
+        ("ica-bench", {"cum_high": math.inf, "trials": 1}, "cum_high must be finite, got inf"),
+        ("learn", {"samples": 2000, "generator": {"n": 2, "m": 2, "noise": math.inf}},
+         "generator noise must be finite, got inf"),
+        ("learn", {**TOY_LEARN, "gmm": {**TOY_LEARN["gmm"],
+                                        "means": [[math.nan, 0.0], [0.0, 3.0]]}},
+         "means, weights and covariance must be finite"),
+        ("smoothed", {"sigma": math.inf}, "sigma must be finite, got inf"),
+        ("reduction-check", {"marginal_tol": math.nan}, "marginal_tol must be finite, got nan"),
+        ("learn", {**TOY_LEARN, "tau": "nan"}, "tau must be finite, got nan"),
+        ("learn", {"generator": {"norm_high": math.inf}},
+         "generator norm_high must be finite, got inf"),
+        ("hardness", {"h_values": [-math.inf]}, "h_values must be finite, got -inf"),
+        ("reduction-check", {"probs": [math.nan]}, "probs must be finite, got nan"),
+        ("smoothed", {"families": []}, "families must not be empty"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -362,6 +394,8 @@ class TestConfigErrors:
 
 _GRID = st.integers(-1, 1)
 _NORMS = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0])
+# JSON as Python reads and writes it carries NaN and the infinities
+_NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 @st.composite
@@ -395,14 +429,17 @@ def learn_configs(draw):
 
 @st.composite
 def reduction_check_configs(draw):
-    """Small `reduction-check` configs, valid and invalid values mixed."""
+    """Small `reduction-check` configs, valid and invalid values mixed,
+    non-finite numbers included."""
     probs = draw(st.sampled_from([[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.5, 0.6], []]))
     return {
-        "lam": draw(st.sampled_from([-1.0, 0.0, 0.1, 5.0, 30.0, 40.0])),
+        "lam": draw(st.sampled_from([-1.0, 0.0, 0.1, 5.0, 30.0, 40.0, *_NON_FINITE])),
         "probs": probs,
         "samples": draw(st.integers(0, 500)),
-        "delta": draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0])),
-        "grid_lams": draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 40.0]), max_size=3)),
+        "delta": draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0, *_NON_FINITE])),
+        "marginal_tol": draw(st.sampled_from([0.02, *_NON_FINITE])),
+        "grid_lams": draw(st.lists(st.sampled_from([0.0, 0.5, 3.0, 40.0, *_NON_FINITE]),
+                                   max_size=3)),
         "grid_taus": draw(st.lists(st.integers(-1, 60), max_size=3)),
         "seed": draw(st.integers(0, 1000)),
     }
@@ -411,12 +448,14 @@ def reduction_check_configs(draw):
 @st.composite
 def ica_bench_configs(draw):
     """Small `ica-bench` configs, m above the rank bound C(n + d/2 - 1, d/2)
-    included."""
+    and non-finite floors and cumulant ranges included."""
     return {
         "n": draw(st.integers(1, 3)),
         "m": draw(st.integers(1, 7)),
         "d": draw(st.sampled_from([4, 6])),
-        "sigma_floor": draw(st.sampled_from([0, 1e-3])),
+        "sigma_floor": draw(st.sampled_from([0, 1e-3, *_NON_FINITE])),
+        "cum_low": draw(st.sampled_from([1.0, *_NON_FINITE])),
+        "cum_high": draw(st.sampled_from([2.0, *_NON_FINITE])),
         "trials": 1,
         "seed": draw(st.integers(0, 1000)),
     }

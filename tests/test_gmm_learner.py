@@ -189,6 +189,19 @@ class TestLearnMeans:
         with pytest.raises(ValueError, match=f"m is {m} but the mixture has 2"):
             learn_means(gmm, m, 4, 0.1, None, 200_000)
 
+    def test_unsupported_order(self):
+        """An order the solver cannot diagonalize is refused before any
+        sampling: no generator is touched, and none is given."""
+        with pytest.raises(ValueError, match=r"cumulant order must be one of \(4, 6\)"):
+            learn_means(toy_gmm(), 2, 5, 0.1, None, 1_000, tau=15)
+
+    @pytest.mark.parametrize("samples, chunk", [(0, 1 << 17), (0.5, 1 << 17), (1_000, 0)])
+    def test_empty_pass_rejected_before_sampling(self, samples, chunk):
+        """A pass of no rows is refused before the certified tau divides by
+        the sample count and before any sampling."""
+        with pytest.raises(ValueError, match="samples and chunk must be at least 1"):
+            learn_means(toy_gmm(), 2, 4, 0.1, None, samples, chunk=chunk)
+
     def test_ground_truth_free_mode(self):
         """A black-box source skips the feasibility check and the metric but
         still learns the means."""

@@ -11,14 +11,17 @@ here keep their columns generically spread.
 import numpy as np
 import pytest
 
-from poissonize.cumulants import analytic_ica_cumulant
+from poissonize.cumulants import (
+    MomentAccumulator,
+    analytic_ica_cumulant,
+    assemble_flat_cumulant,
+)
 from poissonize.distributions import SeededRng
 from poissonize.ica import (
     DegenerateModelError,
     IcaEstimate,
     IllConditionedError,
     align_columns,
-    estimate_cumulant_pair,
     recover_from_cumulants,
 )
 from poissonize.tensor_linalg import khatri_rao_power, sigma_min
@@ -34,6 +37,18 @@ def oracle_pair(mixing, rates, d):
     m0 = analytic_ica_cumulant(mixing, rates, d).as_matrix()
     k_next = analytic_ica_cumulant(mixing, rates, d + 1).data
     return m0, k_next
+
+
+def streamed_pair(source, d, total, chunk=1 << 17):
+    """Estimated flattened cumulants of orders d and d + 1 from ``total``
+    rows of ``source(count)``, drawn ``chunk`` at a time and shifted by the
+    first chunk's mean, as the learner streams them."""
+    first = source(min(chunk, total))
+    acc = MomentAccumulator(first.shape[1], d + 1, shift=first.mean(axis=0))
+    acc.update(first)
+    for start in range(chunk, total, chunk):
+        acc.update(source(min(chunk, total - start)))
+    return assemble_flat_cumulant(acc, d).as_matrix(), assemble_flat_cumulant(acc, d + 1).data
 
 
 class TestAlignColumns:
@@ -163,38 +178,6 @@ class TestRecoverFromCumulantsOracle:
             recover_from_cumulants(np.eye(9), np.zeros(17), 2, 4, SeededRng(0))
 
 
-class TestEstimateCumulantPair:
-    def test_streaming_matches_batch(self):
-        rng = SeededRng(19)
-        data = rng.poisson(2.0, size=(30_000, 2)).astype(float)
-        pos = [0]
-
-        def source(count):
-            block = data[pos[0] : pos[0] + count]
-            pos[0] += count
-            return block
-
-        m0, k5, acc = estimate_cumulant_pair(source, 4, 30_000, chunk=7_000)
-        assert acc.count == 30_000
-        assert m0.shape == (4, 4)
-        assert k5.size == 32
-        np.testing.assert_allclose(m0, m0.T, atol=1e-12)
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            estimate_cumulant_pair(lambda c: np.zeros((c, 2)), 5, 100)
-
-    def test_dried_up_source(self):
-        calls = [0]
-
-        def source(count):
-            calls[0] += 1
-            return np.zeros((0 if calls[0] > 1 else count, 2))
-
-        with pytest.raises(ValueError):
-            estimate_cumulant_pair(source, 4, 10_000, chunk=100)
-
-
 class TestUnderdeterminedIca:
     """Streamed cumulant estimates fed to the recovery."""
 
@@ -207,7 +190,7 @@ class TestUnderdeterminedIca:
                 [rng.poisson(r, size=count) for r in rates]
             ).astype(float)
 
-        m0, k_next, _ = estimate_cumulant_pair(source, 4, 1_000_000)
+        m0, k_next = streamed_pair(source, 4, 1_000_000)
         est = recover_from_cumulants(m0, k_next, 3, 4, rng)
         _, _, err = align_columns(est.columns, np.eye(3))
         assert err < 0.05
@@ -222,7 +205,7 @@ class TestUnderdeterminedIca:
             ).astype(float)
             return s + 0.5 * rng.standard_normal((count, 3))
 
-        m0, k_next, _ = estimate_cumulant_pair(source, 4, 1_000_000)
+        m0, k_next = streamed_pair(source, 4, 1_000_000)
         est = recover_from_cumulants(m0, k_next, 3, 4, rng)
         _, _, err = align_columns(est.columns, np.eye(3))
         assert err < 0.1
@@ -241,7 +224,7 @@ class TestUnderdeterminedIca:
             ).astype(float)
             return s @ a.T
 
-        m0, k_next, _ = estimate_cumulant_pair(source, 4, 10_000_000)
+        m0, k_next = streamed_pair(source, 4, 10_000_000)
         est = recover_from_cumulants(m0, k_next, 6, 4, rng)
         _, _, err = align_columns(est.columns, a)
         assert err < 0.15
@@ -259,7 +242,7 @@ class TestUnderdeterminedIca:
                     [rng.poisson(r, size=count) for r in rates]
                 ).astype(float)
 
-            m0, k_next, _ = estimate_cumulant_pair(source, 4, total)
+            m0, k_next = streamed_pair(source, 4, total)
             est = recover_from_cumulants(m0, k_next, 3, 4, rng)
             return align_columns(est.columns, np.eye(3))[2]
 
