@@ -1,13 +1,14 @@
 """Empirical and analytic cumulants of flattened higher-order tensors.
 
 The estimators run in one streaming pass: mixed raw moments are accumulated
-for every sorted index multiset up to the requested order (with compensated
-summation across chunks), then joint cumulants are assembled by the
-moment-to-cumulant recursion over sub-multisets (P. J. Smith, Am. Statist.
-49(2), 1995; McCullagh, Tensor Methods in Statistics, 1987, ch. 2-3) and
-read back at every index permutation, which makes the flattened output
-symmetric by construction.  Tensors are flattened in row-major order (see
-:mod:`poissonize.tensor_linalg`).
+for every sorted index multiset up to the requested order, as one matrix
+product per row tile of the monomials of about half that degree (with
+compensated summation across tiles).  Joint cumulants are then assembled by
+the moment-to-cumulant recursion over sub-multisets (P. J. Smith, Am.
+Statist. 49(2), 1995; McCullagh, Tensor Methods in Statistics, 1987, ch.
+2-3) and read back at every index permutation, which makes the flattened
+output symmetric by construction.  Tensors are flattened in row-major order
+(see :mod:`poissonize.tensor_linalg`).
 
 Chunks are shifted by a fixed vector (usually the first chunk's mean) before
 accumulation.  Cumulants of order >= 2 are invariant under any constant
@@ -36,6 +37,8 @@ __all__ = [
 
 _MAX_UNIVARIATE_ORDER = 6
 _MAX_JOINT_ORDER = 8
+# scratch entries of one row tile (8 MB): rows per tile = this // monomials
+_TILE_ENTRIES = 2**20
 
 
 @dataclass
@@ -122,9 +125,13 @@ class MomentAccumulator:
 
     Accumulates sum_t prod_{j} (x_t[i_j] - shift[i_j]) for every
     nondecreasing index tuple (i_1 <= ... <= i_k), k = 1..order, in a single
-    pass over chunks.  Partial products are reused along the multiset prefix
-    tree, and per-entry Kahan compensation keeps the sums independent of how
-    the rows are split into chunks, to rounding.
+    pass over chunks.  Per row tile, the monomials of degree <= order -
+    order // 2 (the constant 1 included) are the rows of one array P, and
+    ``P[:low] @ P.T``, over the rows of degree <= order // 2, holds every
+    sum: each key reads the entry that its index tuple splits into.
+    Per-entry Kahan compensation across tiles keeps the sums independent of
+    how the rows are split into chunks, to rounding; their last bits depend
+    on the BLAS build and thread count.
     """
 
     def __init__(self, dim, order, shift=None):
@@ -149,11 +156,28 @@ class MomentAccumulator:
         self.comps = np.zeros(len(self.keys))
         self.count = 0
 
-    def _kahan_add(self, pos, value):
-        y = value - self.comps[pos]
-        t = self.sums[pos] + y
-        self.comps[pos] = (t - self.sums[pos]) - y
-        self.sums[pos] = t
+        # monomials of degree <= order - order // 2 in colex order: within
+        # degree k, those ending in coordinate i are the degree k - 1 ones
+        # ending at or below i (a prefix of that block) times z_i, so each is
+        # one row-block multiply, recorded as (src, stop, i, dst)
+        low_degree = self.order // 2
+        monomials = [()]
+        block = [()]
+        self._steps = []
+        for _ in range(self.order - low_degree):
+            src, grown = len(monomials) - len(block), []
+            for i in range(self.dim):
+                prefix = [m for m in block if not m or m[-1] <= i]
+                self._steps.append((src, src + len(prefix), i, len(monomials) + len(grown)))
+                grown += [m + (i,) for m in prefix]
+            monomials += grown
+            block = grown
+        row_of = {m: r for r, m in enumerate(monomials)}
+        self._monomials = len(monomials)
+        self._low = sum(len(m) <= low_degree for m in monomials)
+        self._rows = np.array([row_of[key[: len(key) // 2]] for key in self.keys])
+        self._cols = np.array([row_of[key[len(key) // 2 :]] for key in self.keys])
+        self._tile = max(1, _TILE_ENTRIES // self._monomials)
 
     def update(self, chunk):
         """Accumulate one chunk of shape (c, dim)."""
@@ -163,26 +187,19 @@ class MomentAccumulator:
         c = chunk.shape[0]
         if c == 0:
             return
-        z = chunk - self.shift
-        cols = [np.ascontiguousarray(z[:, i]) for i in range(self.dim)]
-        buffers = [np.empty(c) for _ in range(self.order)]
-
-        def descend(prefix, prod, start, depth):
-            for i in range(start, self.dim):
-                if depth == 0:
-                    p = cols[i]
-                else:
-                    p = np.multiply(prod, cols[i], out=buffers[depth])
-                key = prefix + (i,)
-                self._kahan_add(self.position[key], float(p.sum()))
-                if depth + 1 < self.order:
-                    descend(key, p, i, depth + 1)
-
-        # depth 0 products are the columns themselves; deeper levels write into
-        # one scratch buffer per depth.  A node's buffer is only overwritten by
-        # its next sibling, after the whole subtree below it has finished, so
-        # the in-place multiply never clobbers a live parent product.
-        descend((), None, 0, 0)
+        z = np.subtract(chunk.T, self.shift[:, None], order="C")
+        scratch = np.empty(self._monomials * min(c, self._tile))
+        for start in range(0, c, self._tile):
+            zt = z[:, start : start + self._tile]
+            p = scratch[: self._monomials * zt.shape[1]].reshape(self._monomials, -1)
+            p[0] = 1.0
+            for src, stop, i, dst in self._steps:
+                np.multiply(p[src:stop], zt[i], out=p[dst : dst + stop - src])
+            tile_sums = (p[: self._low] @ p.T)[self._rows, self._cols]
+            y = tile_sums - self.comps
+            t = self.sums + y
+            self.comps[:] = (t - self.sums) - y
+            self.sums[:] = t
         self.count += c
 
     def moment(self, indices):
@@ -220,18 +237,23 @@ def assemble_flat_cumulant(acc, ell, coordinates=None):
     if any(not 0 <= c < acc.dim for c in coordinates):
         raise ValueError("coordinate out of range")
 
+    if acc.count == 0:
+        raise ValueError("no samples accumulated")
     # keys are sorted accumulator coordinates, so every entry and sub-multiset
-    # naming one multiset shares a slot, also when ``coordinates`` decreases
+    # naming one multiset shares a slot, also when ``coordinates`` decreases;
+    # sub-multisets of a sorted key are sorted and non-empty, so they read
+    # the moment table directly
+    moments = dict(zip(acc.keys, (acc.sums / acc.count).tolist()))
     memo = {}
 
     def cumulant(key):
         if key not in memo:
             head, tail = key[0], key[1:]
-            value = acc.moment(key)
+            value = moments[key]
             for mask in range(2 ** len(tail) - 1):
                 block = (head,) + tuple(t for j, t in enumerate(tail) if mask >> j & 1)
                 rest = tuple(t for j, t in enumerate(tail) if not mask >> j & 1)
-                value -= cumulant(block) * acc.moment(rest)
+                value -= cumulant(block) * moments[rest]
             memo[key] = value
         return memo[key]
 

@@ -385,7 +385,7 @@ def poisson_tail_threshold(delta, lam):
         raise ValueError("rate must be positive")
     t1 = math.floor(math.e * lam) + 1
     t2 = 1
-    t3 = math.ceil(math.log(1.0 / delta) - lam)
+    t3 = math.ceil(-math.log(delta) - lam)
     return int(max(t1, t2, t3))
 
 

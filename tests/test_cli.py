@@ -643,6 +643,15 @@ class TestReductionCheckCommand:
         assert read_summary(out)["all_passed"] is True
         assert all(row["passed"] == "true" for row in read_rows(out))
 
+    def test_subnormal_delta_does_not_raise(self, tmp_path):
+        """A subnormal delta used to overflow the closed-form tail threshold
+        (``OverflowError`` from ``1 / delta``); the run ends with exit 0 or
+        2 and no traceback."""
+        cfg = write_config(tmp_path, {"delta": 1e-320})
+        proc = run_module("reduction-check", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert proc.returncode in (0, 2)
+        assert "Traceback" not in proc.stderr
+
 
 class TestOutputHygiene:
     def test_writes_stay_in_output_directory(self, tmp_path, monkeypatch):

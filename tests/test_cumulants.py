@@ -193,6 +193,37 @@ class TestMomentAccumulator:
                          - assemble_flat_cumulant(pieces, ell).data).max()
             assert gap <= 1e-12 * scale[ell]
 
+    @pytest.mark.parametrize("dim, order, rows, bounds", [
+        # row tiles of 2**20 // monomials rows: 8738 at (7, 5), 8322 at
+        # (5, 7), so about 2.3 tiles whose boundaries fall inside chunks
+        (7, 5, 20_000, (0, 5_000, 5_000, 18_001, 20_000)),
+        (5, 7, 19_000, (0, 7_000, 16_000, 19_000)),
+        # the order cap on one coordinate, and order 1 (only the constant
+        # on the low side of the product), with empty chunks in between
+        (1, 8, 1_000, (0, 0, 400, 1_000, 1_000)),
+        (3, 1, 1_000, (0, 300, 300, 1_000)),
+    ])
+    def test_tiled_sums_match_brute_force(self, dim, order, rows, bounds):
+        """Every monomial sum, fed in chunks that split row tiles, is within
+        1e-12 of its ``math.fsum`` over the per-row products, relative to the
+        sum of their absolute values."""
+        rng = SeededRng(dim * 10 + order)
+        data = rng.standard_normal((rows, dim))
+        data[:, 0] = rng.poisson(1.5, size=rows)
+        shift = data[:1000].mean(axis=0)
+        acc = MomentAccumulator(dim, order, shift=shift)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            acc.update(data[start:stop])
+        assert acc.count == rows
+        z = data - shift
+        for key, total in zip(acc.keys, acc.sums):
+            products = z[:, key[0]].copy()
+            for i in key[1:]:
+                products *= z[:, i]
+            want = math.fsum(products.tolist())
+            scale = np.abs(products).sum()
+            assert abs(total - want) <= 1e-12 * scale
+
 
 class TestJointCumulant:
     def test_diagonal_reduces_to_univariate(self):

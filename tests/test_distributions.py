@@ -362,6 +362,10 @@ class TestPoissonTailThreshold:
         with pytest.raises(ValueError):
             poisson_tail_threshold(1.5, 1.0)
 
+    def test_subnormal_delta(self):
+        # ln(1/delta) as 1/delta overflows to inf here; -ln(delta) = 736.8
+        assert poisson_tail_threshold(1e-320, 5.0) == 732
+
 
 class TestCertifiedTailThreshold:
     def test_tail_actually_below_delta(self):
