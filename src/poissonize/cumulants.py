@@ -6,9 +6,12 @@ product per row tile of the monomials of about half that degree (with
 compensated summation across tiles).  Joint cumulants are then assembled by
 the moment-to-cumulant recursion over sub-multisets (P. J. Smith, Am.
 Statist. 49(2), 1995; McCullagh, Tensor Methods in Statistics, 1987, ch.
-2-3) and read back at every index permutation, which makes the flattened
-output symmetric by construction.  Tensors are flattened in row-major order
-(see :mod:`poissonize.tensor_linalg`).
+2-3), one order at a time for all multisets of that order at once, with
+each multiset's float operations in the recursion's own order, so the
+values have the same bits as a one-multiset-at-a-time walk.  They are read
+back at every index permutation, which makes the flattened output symmetric
+by construction.  Tensors are flattened in row-major order (see
+:mod:`poissonize.tensor_linalg`).
 
 Chunks are shifted by a fixed vector (usually the first chunk's mean) before
 accumulation.  Cumulants of order >= 2 are invariant under any constant
@@ -179,6 +182,16 @@ class MomentAccumulator:
         self._cols = np.array([row_of[key[len(key) // 2 :]] for key in self.keys])
         self._tile = max(1, _TILE_ENTRIES // self._monomials)
 
+        # one exact integer code per key, increasing along ``keys``: the
+        # length, then the digits i + 1 in base dim + 1, padded with 0.  A
+        # code is below (order + 1) (dim + 1)**order, and there are more than
+        # (dim + 1)**order / order! keys, so int64 holds every code of a key
+        # table that fits in memory.
+        self._weights = (self.dim + 1) ** np.arange(self.order, -1, -1)
+        self._digits = 1 + np.array([key + (-1,) * (self.order - len(key)) for key in self.keys])
+        lengths = np.count_nonzero(self._digits, axis=1)
+        self._codes = self._digits @ self._weights[1:] + self._weights[0] * lengths
+
     def update(self, chunk):
         """Accumulate one chunk of shape (c, dim)."""
         chunk = np.asarray(chunk, dtype=float)
@@ -206,10 +219,27 @@ class MomentAccumulator:
         """Mean of the monomial for a 0-based index tuple (any order)."""
         if self.count == 0:
             raise ValueError("no samples accumulated")
-        key = tuple(sorted(int(i) for i in indices))
-        if len(key) == 0 or len(key) > self.order:
+        key = tuple(sorted(_coordinates(indices, self.dim).tolist()))
+        if len(key) > self.order:
             raise ValueError("tuple length out of range")
         return self.sums[self.position[key]] / self.count
+
+    def _sub_codes(self, digits, chosen):
+        """Codes of the sub-multisets that keep the ``chosen`` positions, a
+        (masks, k) boolean array, of each sorted key row of ``digits``, a
+        (keys, k) array: one (masks, keys) array."""
+        rank = np.cumsum(chosen, axis=1) - chosen
+        weights = np.where(chosen, self._weights[1 + rank], 0)
+        return weights @ digits.T + self._weights[0] * chosen.sum(axis=1)[:, None]
+
+
+def _coordinates(indices, dim):
+    """``indices`` as a non-empty integer array of coordinates in 0..dim-1."""
+    index = np.asarray(indices)
+    if (index.ndim != 1 or index.size == 0 or index.dtype.kind not in "iu"
+            or index.min() < 0 or index.max() >= dim):
+        raise ValueError(f"indices must be a non-empty list of integers in 0..{dim - 1}")
+    return index
 
 
 def assemble_flat_cumulant(acc, ell, coordinates=None):
@@ -221,50 +251,49 @@ def assemble_flat_cumulant(acc, ell, coordinates=None):
         kappa(S) = m(S) - sum_B kappa(B) m(S - B),
 
     where B runs over the proper sub-multisets of S that hold S's first
-    position, enumerated as subsets of positions so that repeated indices
-    count with their multiplicity (2**(len(S) - 1) - 1 terms).  Lower-order
-    cumulants are memoized for the duration of the call.  Every permutation
-    of S reads that one value, so the output is exactly symmetric.
-    ``coordinates`` restricts the tensor to a subset of the accumulator's
-    coordinates (in the given order); by default all of them are used.
+    position, enumerated as subsets of positions (bit j of the mask keeps
+    position j + 1) so that repeated indices count with their multiplicity
+    (2**(len(S) - 1) - 1 terms).  The orders k = 1..ell are evaluated in
+    turn, each for all of its multisets at once: every mask's terms form one
+    row of a (masks, multisets) array, located through the accumulator's
+    integer key codes, and the rows are subtracted in mask order.  Each
+    multiset therefore sees the same float operations in the same order as
+    a one-at-a-time recursion, and the result has the same bits.  Every
+    permutation of S reads that one value, so the output is exactly
+    symmetric.  ``coordinates`` restricts the tensor to a subset of the
+    accumulator's coordinates (in the given order, repeats allowed); by
+    default all of them are used.
     """
     ell = int(ell)
     if not 1 <= ell <= acc.order:
         raise ValueError(f"order must be in 1..{acc.order}")
     if coordinates is None:
         coordinates = range(acc.dim)
-    coordinates = [int(c) for c in coordinates]
-    if any(not 0 <= c < acc.dim for c in coordinates):
-        raise ValueError("coordinate out of range")
+    coordinates = _coordinates(coordinates, acc.dim)
 
     if acc.count == 0:
         raise ValueError("no samples accumulated")
-    # keys are sorted accumulator coordinates, so every entry and sub-multiset
-    # naming one multiset shares a slot, also when ``coordinates`` decreases;
-    # sub-multisets of a sorted key are sorted and non-empty, so they read
-    # the moment table directly
-    moments = dict(zip(acc.keys, (acc.sums / acc.count).tolist()))
-    memo = {}
-
-    def cumulant(key):
-        if key not in memo:
-            head, tail = key[0], key[1:]
-            value = moments[key]
-            for mask in range(2 ** len(tail) - 1):
-                block = (head,) + tuple(t for j, t in enumerate(tail) if mask >> j & 1)
-                rest = tuple(t for j, t in enumerate(tail) if not mask >> j & 1)
-                value -= cumulant(block) * moments[rest]
-            memo[key] = value
-        return memo[key]
+    moments = acc.sums / acc.count
+    kappa = moments.copy()  # order 1 has no proper sub-multisets
+    for k in range(2, ell + 1):
+        lo, hi = np.searchsorted(acc._codes, acc._weights[0] * np.array([k, k + 1]))
+        digits = acc._digits[lo:hi, :k]
+        # block B of each mask: position 0, and position j + 1 when bit j is set
+        masks = np.arange(2 ** (k - 1) - 1)[:, None]
+        in_block = (((2 * masks + 1) >> np.arange(k)) & 1).astype(bool)
+        block = np.searchsorted(acc._codes, acc._sub_codes(digits, in_block))
+        rest = np.searchsorted(acc._codes, acc._sub_codes(digits, ~in_block))
+        value = moments[lo:hi].copy()
+        for term in kappa[block] * moments[rest]:
+            value -= term
+        kappa[lo:hi] = value
 
     n = len(coordinates)
-    shape = (n,) * ell
-    by_multiset = np.zeros(shape)
-    for key in combinations_with_replacement(range(n), ell):
-        by_multiset[key] = cumulant(tuple(sorted(coordinates[k] for k in key)))
-    # every multi-index, in row-major order, sorted into its multiset
-    sorted_index = np.sort(np.indices(shape).reshape(ell, -1), axis=0)
-    data = by_multiset[tuple(sorted_index)]
+    # every multi-index, in row-major order, as its sorted key digits
+    digits = (coordinates + 1)[np.indices((n,) * ell).reshape(ell, -1)]
+    digits.sort(axis=0)
+    codes = acc._weights[1 : ell + 1] @ digits + acc._weights[0] * ell
+    data = kappa[np.searchsorted(acc._codes, codes)]
     if ell == 1:
         # the accumulator works on shifted samples; order 1 is the only
         # cumulant that is not shift invariant

@@ -39,6 +39,47 @@ def brute_force_tensor(mixing, source_cumulants, ell):
     return out.ravel()
 
 
+def memoized_flat_cumulant(acc, ell, coordinates=None):
+    """Reference oracle for ``assemble_flat_cumulant``: the same recursion
+    walked one sorted multiset at a time with Python floats, lower orders
+    memoized, read back at every multi-index."""
+    moments = dict(zip(acc.keys, (acc.sums / acc.count).tolist()))
+    memo = {}
+
+    def cumulant(key):
+        if key not in memo:
+            head, tail = key[0], key[1:]
+            value = moments[key]
+            for mask in range(2 ** len(tail) - 1):
+                block = (head,) + tuple(t for j, t in enumerate(tail) if mask >> j & 1)
+                rest = tuple(t for j, t in enumerate(tail) if not mask >> j & 1)
+                value -= cumulant(block) * moments[rest]
+            memo[key] = value
+        return memo[key]
+
+    coordinates = list(range(acc.dim) if coordinates is None else coordinates)
+    data = np.array([
+        cumulant(tuple(sorted(coordinates[p] for p in index)))
+        for index in itertools.product(range(len(coordinates)), repeat=ell)
+    ])
+    if ell == 1:
+        data += acc.shift[coordinates]
+    return data
+
+
+def poisson_noise_accumulator(dim, order, rows=20_000, seed=0):
+    """An accumulator over Poisson counts mixed into ``dim`` coordinates plus
+    Gaussian noise, shifted by the first row rather than the mean, so that
+    no recursion term vanishes."""
+    rng = SeededRng(seed)
+    counts = np.column_stack([rng.poisson(r, size=rows) for r in np.linspace(0.5, 2.0, dim + 1)])
+    mixing = rng.standard_normal((dim, dim + 1))
+    data = counts.astype(float) @ mixing.T + 0.1 * rng.standard_normal((rows, dim))
+    acc = MomentAccumulator(dim, order, shift=data[0])
+    acc.update(data)
+    return acc
+
+
 def flat_cumulant(samples, ell):
     """Flattened order-``ell`` cumulant of vector samples through the
     streamed path: one accumulator shifted by the sample mean, then
@@ -224,6 +265,15 @@ class TestMomentAccumulator:
             scale = np.abs(products).sum()
             assert abs(total - want) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("indices", [(3,), (-1,), (0.5,), ()])
+    def test_bad_index_rejected(self, indices):
+        """An index out of range or not an integer is refused, never looked
+        up as another key or truncated to one."""
+        acc = MomentAccumulator(3, 2)
+        acc.update(np.eye(3))
+        with pytest.raises(ValueError):
+            acc.moment(indices)
+
 
 class TestJointCumulant:
     def test_diagonal_reduces_to_univariate(self):
@@ -355,6 +405,36 @@ class TestAssembleFlatCumulant:
                 projected = projected @ u
             assert abs(projected - want[ell - 1]) < 1e-10 * np.mean(np.abs(z) ** ell)
         assert np.array_equal(tensor, tensor.transpose(3, 0, 6, 1, 5, 2, 4))
+
+    @pytest.mark.parametrize("dim, order", [(7, 5), (5, 7), (2, 5), (1, 8)])
+    def test_same_bits_as_memoized_recursion(self, dim, order):
+        """Every order up to the accumulator's is equal, bit for bit, to the
+        one-multiset-at-a-time recursion: the benchmark shapes (7, 5) and
+        (5, 7), the warm-up shape (2, 5) and the order cap on one
+        coordinate."""
+        acc = poisson_noise_accumulator(dim, order, seed=dim * 10 + order)
+        for ell in range(1, order + 1):
+            got = assemble_flat_cumulant(acc, ell).data
+            assert np.array_equal(got, memoized_flat_cumulant(acc, ell))
+
+    @pytest.mark.parametrize("coordinates", [[2, 0], [0, 0], [1], [3, 1, 2]])
+    def test_same_bits_on_coordinates(self, coordinates):
+        """Decreasing, repeated and partial coordinate lists read the same
+        bits as the memoized recursion."""
+        acc = poisson_noise_accumulator(4, 5, seed=45)
+        for ell in range(1, 6):
+            got = assemble_flat_cumulant(acc, ell, coordinates=coordinates).data
+            assert np.array_equal(got, memoized_flat_cumulant(acc, ell, coordinates))
+
+    @pytest.mark.parametrize("coordinates", [[0.7], [[0, 1]]])
+    def test_non_integer_coordinates_rejected(self, coordinates):
+        """A coordinate that is not an integer is refused, never truncated
+        to another coordinate (out-of-range ones are tested with the
+        flattening convention)."""
+        acc = MomentAccumulator(3, 2)
+        acc.update(np.eye(3))
+        with pytest.raises(ValueError):
+            assemble_flat_cumulant(acc, 2, coordinates=coordinates)
 
     def test_order_one_restores_shift(self):
         data = np.array([[1.0, 10.0], [3.0, 30.0]])
