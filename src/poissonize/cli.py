@@ -387,6 +387,7 @@ def _cmd_hardness(config, out_dir):
                 "components_p": pair.p.m,
                 "components_q": pair.q.m,
                 "l1_distance": pair.l1_distance,
+                "l1_error": pair.l1_error,
                 "min_center_distance": pair.min_center_distance,
                 "alpha": pair.alpha,
                 "beta": pair.beta,
@@ -416,7 +417,7 @@ def _cmd_hardness(config, out_dir):
             row = {
                 "instance": index, "seed": rng.seed, "built": False,
                 "components_p": None, "components_q": None,
-                "equal_counts": None, "l1_distance": None,
+                "equal_counts": None, "l1_distance": None, "l1_error": None,
                 "min_center_distance": None, "fill": None,
                 "kernel_condition": None,
             }
@@ -429,6 +430,7 @@ def _cmd_hardness(config, out_dir):
                     components_q=pair.q.m,
                     equal_counts=bool(pair.p.m == pair.q.m),
                     l1_distance=pair.l1_distance,
+                    l1_error=pair.l1_error,
                     min_center_distance=pair.min_center_distance,
                     fill=pair.fill,
                     kernel_condition=pair.kernel_condition,

@@ -289,11 +289,20 @@ def assemble_flat_cumulant(acc, ell, coordinates=None):
         kappa[lo:hi] = value
 
     n = len(coordinates)
-    # every multi-index, in row-major order, as its sorted key digits
-    digits = (coordinates + 1)[np.indices((n,) * ell).reshape(ell, -1)]
-    digits.sort(axis=0)
-    codes = acc._weights[1 : ell + 1] @ digits + acc._weights[0] * ell
-    data = kappa[np.searchsorted(acc._codes, codes)]
+    block = n ** (ell - 1)
+    # one leading index at a time, every multi-index in row-major order as
+    # its sorted key digits, held in the smallest integer type that fits, so
+    # the index temporaries stay well below the size of the output
+    small = (coordinates + 1).astype(np.min_scalar_type(acc.dim))
+    tail = small[np.indices((n,) * (ell - 1)).reshape(ell - 1, block)]
+    digits = np.empty((ell, block), dtype=small.dtype)
+    data = np.empty(n * block)
+    for lead, digit in enumerate(small):
+        digits[0] = digit
+        digits[1:] = tail
+        digits.sort(axis=0)
+        codes = acc._weights[0] * ell + sum(w * row for w, row in zip(acc._weights[1:], digits))
+        data[lead * block : (lead + 1) * block] = kappa[np.searchsorted(acc._codes, codes)]
     if ell == 1:
         # the accumulator works on shifted samples; order 1 is the only
         # cumulant that is not shift invariant

@@ -103,7 +103,8 @@ class PointSet:
 class MixturePair:
     """Two normalized disjointly-centered mixtures and their measured gap;
     min_center_distance is the least distance between a center of p and
-    one of q."""
+    one of q, and l1_error is the gap's Monte Carlo standard error (None
+    when the gap comes from quadrature)."""
 
     p: GmmParams
     q: GmmParams
@@ -113,6 +114,7 @@ class MixturePair:
     beta: float = 1.0
     fill: float = 0.0
     kernel_condition: float = 0.0
+    l1_error: float | None = None
 
     def __post_init__(self):
         if self.p.n != self.q.n:
@@ -247,6 +249,12 @@ def build_close_pair(x_set, y_set, rng=None, l1_samples=200_000):
     normalizations alpha = sum p1, beta = sum p2 are recorded (both close to
     and at least about 1 when the interpolants are accurate).
     """
+    return _measured(_unmeasured_pair(x_set, y_set), rng, l1_samples)
+
+
+def _unmeasured_pair(x_set, y_set):
+    """build_close_pair without the L1 measurement (its l1_distance is NaN);
+    draws no random numbers."""
     if x_set.dimension != y_set.dimension:
         raise ValueError("point sets live in different dimensions")
     cross = _cross_min_distance(x_set.points, y_set.points)
@@ -266,16 +274,35 @@ def build_close_pair(x_set, y_set, rng=None, l1_samples=200_000):
     eye = np.eye(n)
     p = GmmParams(centers[pos].T, coeffs[pos] / alpha, eye)
     q = GmmParams(centers[neg].T, -coeffs[neg] / beta, eye)
-    gap = l1_distance(p, q, rng=rng, samples=l1_samples)
     return MixturePair(
         p=p,
         q=q,
-        l1_distance=gap,
+        l1_distance=math.nan,
         alpha=alpha,
         beta=beta,
         fill=max(x_set.fill, y_set.fill),
         kernel_condition=max(condition_x, condition_y),
     )
+
+
+def _measured(pair, rng, samples):
+    """The pair with its L1 distance and standard error filled in."""
+    gap = l1_distance(pair.p, pair.q, rng=rng, samples=samples)
+    pair.l1_distance, pair.l1_error = float(gap), gap.error
+    return pair
+
+
+class _L1Estimate(float):
+    """An L1 distance that carries its Monte Carlo standard error in
+    ``error`` (None for a quadrature value), so that ``l1_distance`` still
+    returns a float to every caller."""
+
+    __slots__ = ("error",)
+
+    def __new__(cls, value, error=None):
+        estimate = super().__new__(cls, value)
+        estimate.error = error
+        return estimate
 
 
 def l1_distance(p, q, rng=None, samples=200_000):
@@ -286,7 +313,9 @@ def l1_distance(p, q, rng=None, samples=200_000):
     holds all but < 1e-14 of both masses.  Higher dimensions use importance
     sampling of ``samples`` (at least 2) draws from the balanced mixture
     (p + q)/2, whose weight |p - q| / m is bounded by 2; a relative error
-    above 50% triggers an unreliable-estimate warning.
+    above 50% triggers an unreliable-estimate warning.  The value is a
+    float that carries the Monte Carlo standard error in its ``error``
+    attribute (None in 1-D).
     """
     if p.n != q.n:
         raise ValueError("mixtures live in different dimensions")
@@ -307,26 +336,32 @@ def l1_distance(p, q, rng=None, samples=200_000):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             value, _ = quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)
-        return float(value)
-    if rng is None:
-        raise ValueError("monte-carlo estimation needs an rng")
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError(f"monte-carlo estimation needs at least 2 samples, got {samples}")
-    half = samples // 2
-    x = np.vstack([sample_gmm(p, half, rng), sample_gmm(q, samples - half, rng)])
+        return _L1Estimate(value)
+    x = _monte_carlo_points(p, q, rng, samples)
     dp = gmm_pdf(p, x)
     dq = gmm_pdf(q, x)
     ratios = np.abs(dp - dq) / (0.5 * (dp + dq))
     value = float(ratios.mean())
-    err = float(ratios.std(ddof=1)) / math.sqrt(samples)
+    err = float(ratios.std(ddof=1)) / math.sqrt(x.shape[0])
     if err > 0.5 * max(value, 1e-300):
         warnings.warn(
             "L1 Monte Carlo estimate has relative error above 50%",
             RuntimeWarning,
             stacklevel=2,
         )
-    return value
+    return _L1Estimate(value, err)
+
+
+def _monte_carlo_points(p, q, rng, samples):
+    """The importance-sampling draws of l1_distance: half from p, the rest
+    from q."""
+    if rng is None:
+        raise ValueError("monte-carlo estimation needs an rng")
+    samples = int(samples)
+    if samples < 2:
+        raise ValueError(f"monte-carlo estimation needs at least 2 samples, got {samples}")
+    half = samples // 2
+    return np.vstack([sample_gmm(p, half, rng), sample_gmm(q, samples - half, rng)])
 
 
 def random_points(count, dimension, rng):
@@ -342,11 +377,17 @@ def pigeonhole_pair(points, rng, l1_samples=200_000):
     """Equal-component-count close pair from 4k^2 points.
 
     The points are split into 2k groups of 2k; each group's first and last k
-    points interpolate into a close pair.  Over the 2k groups the component
-    count differences take at most 2k - 1 values, so two groups must agree;
-    averaging those two pairs crosswise gives mixtures with equal counts.
-    Groups whose build degenerates are skipped; if no collision survives,
-    the points are reshuffled, at most _RETRIES rounds in all.
+    points interpolate into a close pair.  The first pair, in group order,
+    with equal component counts is returned.  Otherwise, over the 2k groups
+    the count differences take at most 2k - 1 values, so two groups must
+    agree; averaging those two pairs crosswise gives mixtures with equal
+    counts.  Groups whose build degenerates are skipped; if no collision
+    survives, the points are reshuffled, at most _RETRIES rounds in all.
+
+    Only the returned pair's L1 distance is measured, so only it can warn
+    of an unreliable estimate.  Above 1-D each pair passed over still takes
+    the Monte Carlo draws of its measurement from ``rng``, so every value
+    is the one that measuring each group in turn would give.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     total = points.shape[0]
@@ -364,12 +405,14 @@ def pigeonhole_pair(points, rng, l1_samples=200_000):
                 y_set = PointSet(sub[k:])
                 x_set.fill = compute_fill(x_set, resolution)
                 y_set.fill = compute_fill(y_set, resolution)
-                built.append(build_close_pair(x_set, y_set, rng=rng, l1_samples=l1_samples))
+                built.append(_unmeasured_pair(x_set, y_set))
             except (DegeneratePairError, KernelConditioningError, ValueError):
                 continue
         for pair in built:
             if pair.p.m == pair.q.m:
-                return pair
+                return _measured(pair, rng, l1_samples)
+            if pair.p.n > 1:
+                _monte_carlo_points(pair.p, pair.q, rng, l1_samples)
         by_difference = {}
         collision = None
         for pair in built:
@@ -400,13 +443,14 @@ def _combine_pairs(first, second, rng, l1_samples):
         np.concatenate([first.q.weights, second.p.weights]) / 2.0,
         first.q.covariance,
     )
-    return MixturePair(
+    pair = MixturePair(
         p=p,
         q=q,
-        l1_distance=l1_distance(p, q, rng=rng, samples=l1_samples),
+        l1_distance=math.nan,
         fill=max(first.fill, second.fill),
         kernel_condition=max(first.kernel_condition, second.kernel_condition),
     )
+    return _measured(pair, rng, l1_samples)
 
 
 def embed_as_ica(pair):
@@ -448,6 +492,7 @@ def pair_to_json(pair):
         "centers_q": pair.q.means.T.tolist(),
         "weights_q": pair.q.weights.tolist(),
         "l1_distance": float(pair.l1_distance),
+        "l1_error": pair.l1_error,
         "fill": float(pair.fill),
         "kernel_condition": float(pair.kernel_condition),
     }

@@ -537,7 +537,7 @@ class TestHardnessCommand:
         exported = json.loads((out / "pair_decay_0.json").read_text())
         assert set(exported) == {
             "centers_p", "weights_p", "centers_q", "weights_q",
-            "l1_distance", "fill", "kernel_condition",
+            "l1_distance", "l1_error", "fill", "kernel_condition",
         }
 
     def test_pigeonhole_instances(self, tmp_path):
@@ -550,6 +550,27 @@ class TestHardnessCommand:
         rows = read_rows(out)
         assert all(row["built"] == "true" for row in rows)
         assert all(row["equal_counts"] == "true" for row in rows)
+
+    def test_l1_error_recorded(self, tmp_path):
+        """Above 1-D the row and the pair file carry the Monte Carlo
+        standard error of the written L1 distance; a 1-D quadrature
+        distance has none (an empty column, a null key)."""
+        cfg = write_config(tmp_path, {
+            "mode": "pigeonhole", "k": 2, "dimension": 2,
+            "instances": 1, "l1_samples": 2000,
+        })
+        out = tmp_path / "pigeonhole"
+        assert main(["hardness", "--config", cfg, "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        exported = json.loads((out / "pair_0.json").read_text())
+        assert float(row["l1_error"]) == exported["l1_error"]
+        assert 0.0 < exported["l1_error"] < exported["l1_distance"]
+        cfg = write_config(tmp_path, {"mode": "decay", "h_values": [0.1]})
+        out = tmp_path / "decay"
+        assert main(["hardness", "--config", cfg, "--out", str(out)]) == 0
+        (row,) = read_rows(out)
+        assert row["l1_error"] == ""
+        assert json.loads((out / "pair_decay_0.json").read_text())["l1_error"] is None
 
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "interpolate"})

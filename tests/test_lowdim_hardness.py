@@ -1,12 +1,22 @@
 """Kernel interpolation, close mixture pairs, and the ICA embedding."""
 
+import collections
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from poissonize.distributions import GmmParams, SeededRng, certified_tail_threshold
+from poissonize import lowdim_hardness
+from poissonize.distributions import (
+    GmmParams,
+    SeededRng,
+    certified_tail_threshold,
+    gmm_pdf,
+    sample_gmm,
+)
 from poissonize.lowdim_hardness import (
     DegeneratePairError,
     KernelConditioningError,
@@ -34,6 +44,60 @@ def unit_gaussian(center):
 
 def equispaced(k):
     return ((2.0 * np.arange(1, k + 1) - 1.0) / (2 * k))[:, None]
+
+
+def eager_pigeonhole_pair(points, rng, l1_samples):
+    """Reference oracle for ``pigeonhole_pair``: every group's pair is built
+    and measured in group order, then the first equal-count pair, or the
+    crosswise combination of the first two pairs that share a count
+    difference, is returned; otherwise the points are reshuffled."""
+    total = points.shape[0]
+    k = math.isqrt(total // 4)
+    resolution = lowdim_hardness._fill_resolution(points.shape[1])
+    order = np.arange(total)
+    for _ in range(lowdim_hardness._RETRIES):
+        built = []
+        for group in order.reshape(2 * k, 2 * k):
+            sub = points[group]
+            try:
+                x_set = PointSet(sub[:k], fill=compute_fill(PointSet(sub[:k]), resolution))
+                y_set = PointSet(sub[k:], fill=compute_fill(PointSet(sub[k:]), resolution))
+                built.append(build_close_pair(x_set, y_set, rng=rng, l1_samples=l1_samples))
+            except (DegeneratePairError, KernelConditioningError, ValueError):
+                continue
+        for pair in built:
+            if pair.p.m == pair.q.m:
+                return pair
+        by_difference = {}
+        for pair in built:
+            key = pair.p.m - pair.q.m
+            if key in by_difference:
+                return lowdim_hardness._combine_pairs(
+                    by_difference[key], pair, rng=rng, l1_samples=l1_samples)
+            by_difference[key] = pair
+        order = rng.permutation(total)
+    raise RuntimeError("no collision within the retry budget")
+
+
+def counting(monkeypatch, *names):
+    """Replace each named ``lowdim_hardness`` function by a wrapper that
+    counts its calls in the returned Counter."""
+    calls = collections.Counter()
+    for name in names:
+        def wrapper(*args, _name=name, _original=getattr(lowdim_hardness, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(lowdim_hardness, name, wrapper)
+    return calls
+
+
+def first_round_fails(points, k):
+    """The points with each group's second point a copy of its first, so no
+    group of the first round builds (repeated nodes) and every later round
+    starts from a reshuffle."""
+    points = points.copy()
+    points[1 :: 2 * k] = points[:: 2 * k]
+    return points
 
 
 class TestPointSet:
@@ -286,6 +350,26 @@ class TestL1Distance:
         with pytest.raises(ValueError):
             l1_distance(unit_gaussian([0.0]), unit_gaussian([0.0, 0.0]))
 
+    def test_monte_carlo_standard_error(self):
+        """The estimate carries the standard error of its own draws: the
+        sample standard deviation of the importance ratios over sqrt(N),
+        recomputed here from the same draws."""
+        p = GmmParams(np.array([[0.0, 0.4], [0.0, 0.3]]), np.array([0.3, 0.7]), np.eye(2))
+        q = unit_gaussian([0.5, 0.0])
+        samples = 1001
+        gap = l1_distance(p, q, rng=SeededRng(9), samples=samples)
+        rng = SeededRng(9)
+        x = np.vstack([sample_gmm(p, 500, rng), sample_gmm(q, 501, rng)])
+        ratios = [2.0 * abs(a - b) / (a + b) for a, b in zip(gmm_pdf(p, x), gmm_pdf(q, x))]
+        mean = math.fsum(ratios) / samples
+        spread = math.sqrt(math.fsum((r - mean) ** 2 for r in ratios) / (samples - 1))
+        assert gap == pytest.approx(mean, rel=1e-12)
+        assert gap.error == pytest.approx(spread / math.sqrt(samples), rel=1e-9)
+        assert 0.0 < gap.error < 0.1 * gap
+
+    def test_quadrature_has_no_standard_error(self):
+        assert l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0])).error is None
+
     def test_unreliable_monte_carlo_warns(self):
         p = unit_gaussian([0.0, 0.0])
         q = unit_gaussian([0.05, 0.0])
@@ -308,7 +392,56 @@ class TestEquispacedInterleaved:
             equispaced_interleaved(-0.1)
 
 
+# (dimension, k, seed of SeededRng(7 seed + dimension)) that return a
+# combination; every other seed below returns an equal-count group directly
+COMBINING = [(1, 2, 11), (2, 3, 17), (3, 5, 25)]
+
+
 class TestPigeonholePair:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_same_bytes_as_eager_selection(self, dimension, k, monkeypatch):
+        """Measuring only the returned pair, and passing over the others'
+        draws, exports the bytes of measuring every group first; the seeds
+        reach the direct return and the combination."""
+        cases = [0, 1, 2] + [s for d, kk, s in COMBINING if (d, kk) == (dimension, k)]
+        for seed in cases:
+            rng = SeededRng(7 * seed + dimension)
+            points = random_points(4 * k * k, dimension, rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                want = pair_to_json(eager_pigeonhole_pair(points, rng, 2000))
+            with monkeypatch.context() as patch:
+                calls = counting(patch, "_combine_pairs")
+                rng = SeededRng(7 * seed + dimension)
+                random_points(4 * k * k, dimension, rng)
+                got = pair_to_json(pigeonhole_pair(points, rng, l1_samples=2000))
+            assert got == want
+            assert calls["_combine_pairs"] == ((dimension, k, seed) in COMBINING)
+
+    @pytest.mark.parametrize("dimension, k", [(1, 2), (2, 3), (3, 2)])
+    def test_same_bytes_after_a_reshuffle(self, dimension, k, monkeypatch):
+        """No group of the first round builds, so the pair comes from the
+        reshuffled points, with the same bytes as the eager selection."""
+        rng = SeededRng(300 + dimension)
+        points = first_round_fails(random_points(4 * k * k, dimension, rng), k)
+        want = pair_to_json(eager_pigeonhole_pair(points, SeededRng(5), 2000))
+        with monkeypatch.context() as patch:
+            calls = counting(patch, "_unmeasured_pair")
+            got = pair_to_json(pigeonhole_pair(points, SeededRng(5), l1_samples=2000))
+        assert got == want
+        assert calls["_unmeasured_pair"] > 2 * k
+
+    @pytest.mark.parametrize("dimension, k, seed", [(1, 5, 0), (2, 3, 0)] + COMBINING)
+    def test_measures_only_the_returned_pair(self, dimension, k, seed, monkeypatch):
+        """One L1 measurement per call, whether the pair is a group's own or
+        a combination."""
+        rng = SeededRng(7 * seed + dimension)
+        points = random_points(4 * k * k, dimension, rng)
+        calls = counting(monkeypatch, "l1_distance")
+        pigeonhole_pair(points, rng, l1_samples=2000)
+        assert calls["l1_distance"] == 1
+
     def test_equal_component_counts(self):
         rng = SeededRng(101)
         pair = pigeonhole_pair(random_points(16, 1, rng), rng)
@@ -377,6 +510,16 @@ class TestEmbedAsIca:
 
 
 class TestPairJson:
+    def test_l1_error_recorded(self):
+        """The pair carries its measurement's standard error: a number in
+        2-D, None in 1-D, where the distance comes from quadrature."""
+        rng = SeededRng(15)
+        pair = pigeonhole_pair(random_points(36, 2, rng), rng, l1_samples=2000)
+        exported = json.loads(pair_to_json(pair))
+        assert exported["l1_error"] == pair.l1_error
+        assert 0.0 < exported["l1_error"] < exported["l1_distance"]
+        assert build_close_pair(*equispaced_interleaved(0.1)).l1_error is None
+
     def test_output_is_deterministic(self):
         """Two pairs built from the same seed export to the same bytes."""
 
