@@ -12,7 +12,7 @@ The package level exports only the names of the README quick start and the
 acceptance battery; everything else is imported from its module.
 """
 
-from .cumulants import analytic_ica_cumulant, empirical_cumulant
+from .cumulants import analytic_ica_cumulant
 from .distributions import (
     GmmParams,
     SeededRng,

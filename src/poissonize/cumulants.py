@@ -1,6 +1,6 @@
 """Empirical and analytic cumulants of flattened higher-order tensors.
 
-The estimators run in one streaming pass: mixed raw moments are accumulated
+The estimator runs in one streaming pass: mixed raw moments are accumulated
 for every sorted index multiset up to the requested order, as one matrix
 product per row tile of the monomials of about half that degree (with
 compensated summation across tiles).  Joint cumulants are then assembled by
@@ -21,7 +21,6 @@ magnitudes that drive estimator variance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -31,14 +30,11 @@ from .tensor_linalg import khatri_rao_power
 
 __all__ = [
     "FlatCumulant",
-    "raw_moments_to_cumulants",
-    "empirical_cumulant",
     "MomentAccumulator",
     "assemble_flat_cumulant",
     "analytic_ica_cumulant",
 ]
 
-_MAX_UNIVARIATE_ORDER = 6
 _MAX_JOINT_ORDER = 8
 # scratch entries of one row tile (8 MB): rows per tile = this // monomials
 _TILE_ENTRIES = 2**20
@@ -72,50 +68,6 @@ class FlatCumulant:
             raise ValueError("matrix view needs an even order")
         s = self.dimension ** (self.order // 2)
         return self.data.reshape(s, s)
-
-
-def raw_moments_to_cumulants(moments):
-    """Convert raw moments [m_1, ..., m_ell] to cumulants [c_1, ..., c_ell].
-
-    Standard recursion c_r = m_r - sum_{j<r} C(r-1, j-1) c_j m_{r-j}; exact
-    for exact inputs (e.g. Fractions), so it doubles as the rational
-    consistency oracle in tests.
-    """
-    moments = list(moments)
-    cums = []
-    for r in range(1, len(moments) + 1):
-        c = moments[r - 1]
-        for j in range(1, r):
-            c = c - math.comb(r - 1, j - 1) * cums[j - 1] * moments[r - j - 1]
-        cums.append(c)
-    return cums
-
-
-def empirical_cumulant(samples, ell):
-    """Order-``ell`` cumulant of scalar samples, plug-in estimator.
-
-    Orders 1..6 are supported.  The samples are centered at their mean
-    before the moment recursion (orders >= 2 are shift invariant and the
-    first cumulant is the mean itself), which avoids the cancellation the
-    raw-moment recursion suffers for distributions far from the origin.
-    """
-    ell = int(ell)
-    if not 1 <= ell <= _MAX_UNIVARIATE_ORDER:
-        raise ValueError(f"order must be in 1..{_MAX_UNIVARIATE_ORDER}")
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < ell + 1:
-        raise ValueError(f"need at least {ell + 1} samples for order {ell}")
-    mean = float(samples.mean())
-    if ell == 1:
-        return mean
-    z = samples - mean
-    moments = []
-    power = np.ones_like(z)
-    for _ in range(ell):
-        power = power * z
-        moments.append(float(power.mean()))
-    cums = raw_moments_to_cumulants(moments)
-    return float(cums[ell - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,12 @@ __all__ = [
     "sample_gmm",
     "gmm_pdf",
     "poisson_pmf",
-    "poisson_moment",
-    "stirling2",
     "empirical_poisson_tv",
     "truncated_poisson_tv",
     "poisson_tail_threshold",
     "certified_tail_threshold",
 ]
 
-_MAX_MOMENT_ORDER = 20
 _WEIGHT_TOL = 1e-12
 _PSD_TOL = -1e-10
 _PDF_BLOCK = 4096
@@ -281,51 +278,8 @@ def gmm_pdf(gmm, x):
 
 
 # ---------------------------------------------------------------------------
-# scalar moment and tail helpers
+# scalar Poisson pmf and tail helpers
 # ---------------------------------------------------------------------------
-
-
-def _check_order(ell):
-    ell = int(ell)
-    if ell < 1:
-        raise ValueError("order must be >= 1")
-    if ell > _MAX_MOMENT_ORDER:
-        raise ValueError(f"order {ell} above the supported cap {_MAX_MOMENT_ORDER}")
-    return ell
-
-
-def stirling2(ell, i):
-    """Stirling number of the second kind S(ell, i), exact integer."""
-    ell = int(ell)
-    i = int(i)
-    if ell < 0 or i < 0:
-        raise ValueError("arguments must be nonnegative")
-    return _stirling2(ell, i)
-
-
-def _stirling2(n, k):
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    key = (n, k)
-    cached = _STIRLING_CACHE.get(key)
-    if cached is None:
-        cached = k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-        _STIRLING_CACHE[key] = cached
-    return cached
-
-
-_STIRLING_CACHE: dict = {}
-
-
-def poisson_moment(ell, lam):
-    """Raw moment E[Y^ell] of Y ~ Poisson(lam): sum_i lam^i S(ell, i).
-
-    Exact when ``lam`` supports exact arithmetic (e.g. Fraction).
-    """
-    ell = _check_order(ell)
-    return sum(lam**i * _stirling2(ell, i) for i in range(1, ell + 1))
 
 
 def poisson_pmf(k, lam):
@@ -369,6 +323,17 @@ def truncated_poisson_tv(lam, tau):
     return float(pdtrc(tau, lam))
 
 
+def _tail_arguments(delta, lam):
+    """(delta, lam) as floats, with delta in (0, 1) and lam positive."""
+    delta = float(delta)
+    lam = float(lam)
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    if lam <= 0:
+        raise ValueError("rate must be positive")
+    return delta, lam
+
+
 def poisson_tail_threshold(delta, lam):
     """Smallest integer tau with tau > e*lam, tau >= 1, tau >= ln(1/delta) - lam.
 
@@ -377,12 +342,7 @@ def poisson_tail_threshold(delta, lam):
     that regime callers should certify the tail directly (see
     :func:`certified_tail_threshold`).
     """
-    delta = float(delta)
-    lam = float(lam)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if lam <= 0:
-        raise ValueError("rate must be positive")
+    delta, lam = _tail_arguments(delta, lam)
     t1 = math.floor(math.e * lam) + 1
     t2 = 1
     t3 = math.ceil(-math.log(delta) - lam)
@@ -392,11 +352,12 @@ def poisson_tail_threshold(delta, lam):
 def certified_tail_threshold(delta, lam):
     """Smallest integer tau > e*lam whose actual tail mass is below delta.
 
-    Starts from :func:`poisson_tail_threshold` and walks upward until the
-    exact tail mass is below ``delta``; always sound, also outside the
-    Chernoff lemma's rate regime.
+    Walks upward from floor(e*lam) + 1 until the exact tail mass is below
+    ``delta``; always sound, also outside the Chernoff lemma's rate regime,
+    and never above :func:`poisson_tail_threshold` where that is sound.
     """
-    tau = poisson_tail_threshold(delta, lam)
+    delta, lam = _tail_arguments(delta, lam)
+    tau = math.floor(math.e * lam) + 1
     while truncated_poisson_tv(lam, tau) >= delta:
         tau += 1
         if tau > 100 * (lam + 1.0) + 1000:

@@ -287,22 +287,8 @@ def _unmeasured_pair(x_set, y_set):
 
 def _measured(pair, rng, samples):
     """The pair with its L1 distance and standard error filled in."""
-    gap = l1_distance(pair.p, pair.q, rng=rng, samples=samples)
-    pair.l1_distance, pair.l1_error = float(gap), gap.error
+    pair.l1_distance, pair.l1_error = l1_distance(pair.p, pair.q, rng=rng, samples=samples)
     return pair
-
-
-class _L1Estimate(float):
-    """An L1 distance that carries its Monte Carlo standard error in
-    ``error`` (None for a quadrature value), so that ``l1_distance`` still
-    returns a float to every caller."""
-
-    __slots__ = ("error",)
-
-    def __new__(cls, value, error=None):
-        estimate = super().__new__(cls, value)
-        estimate.error = error
-        return estimate
 
 
 def l1_distance(p, q, rng=None, samples=200_000):
@@ -313,9 +299,8 @@ def l1_distance(p, q, rng=None, samples=200_000):
     holds all but < 1e-14 of both masses.  Higher dimensions use importance
     sampling of ``samples`` (at least 2) draws from the balanced mixture
     (p + q)/2, whose weight |p - q| / m is bounded by 2; a relative error
-    above 50% triggers an unreliable-estimate warning.  The value is a
-    float that carries the Monte Carlo standard error in its ``error``
-    attribute (None in 1-D).
+    above 50% triggers an unreliable-estimate warning.  Returns the pair
+    (value, Monte Carlo standard error), the error None in 1-D.
     """
     if p.n != q.n:
         raise ValueError("mixtures live in different dimensions")
@@ -336,7 +321,7 @@ def l1_distance(p, q, rng=None, samples=200_000):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             value, _ = quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)
-        return _L1Estimate(value)
+        return value, None
     x = _monte_carlo_points(p, q, rng, samples)
     dp = gmm_pdf(p, x)
     dq = gmm_pdf(q, x)
@@ -349,7 +334,7 @@ def l1_distance(p, q, rng=None, samples=200_000):
             RuntimeWarning,
             stacklevel=2,
         )
-    return _L1Estimate(value, err)
+    return value, err
 
 
 def _monte_carlo_points(p, q, rng, samples):

@@ -98,14 +98,12 @@ class MixtureSource:
 
 @dataclass
 class IcaModel:
-    """Noisy ICA model X = mixing diag(scales) S + eta(tau) of a Poissonized
-    mixture: the mixture with its Poisson repetition rate lam and truncation
-    tau.
+    """Noisy ICA model X = A S + eta(tau) of a Poissonized mixture: the
+    mixture with its Poisson repetition rate lam and truncation tau.
 
-    mixing : (n, m) unit columns, the normalized means of the mixture.
-    scales : norms of those means; source i is scale_i * Poisson(rate_i).
-    rates : Poisson rates w_i * lambda of the sources; they sum to lambda.
-    The noise eta(tau) is N(0, tau Sigma) for the mixture's covariance.
+    The columns of A are the mixture's means; source i is Poisson(rate_i)
+    with rates w_i * lambda, which sum to lambda.  The noise eta(tau) is
+    N(0, tau Sigma) for the mixture's covariance.
     """
 
     gmm: GmmParams
@@ -113,24 +111,12 @@ class IcaModel:
     tau: float
 
     def __post_init__(self):
-        if np.any(self.scales <= 0):
-            raise ValueError("a zero center cannot be unit-normalized")
-
-    @property
-    def scales(self):
-        return np.linalg.norm(self.gmm.means, axis=0)
-
-    @property
-    def mixing(self):
-        return self.gmm.means / self.scales
+        if not self.gmm.means.any(axis=0).all():
+            raise ValueError("a zero center gives a zero mixing column")
 
     @property
     def rates(self):
         return self.gmm.weights * self.lam
-
-    def to_gmm(self):
-        """The mixture whose Poissonization realizes this model."""
-        return self.gmm
 
 
 def lift(means):

@@ -14,20 +14,19 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonize.cumulants import raw_moments_to_cumulants
 from poissonize.distributions import (
     GmmParams,
     SeededRng,
     certified_tail_threshold,
     empirical_poisson_tv,
     gmm_pdf,
-    poisson_moment,
     poisson_pmf,
     poisson_tail_threshold,
     sample_gmm,
-    stirling2,
     truncated_poisson_tv,
 )
+
+from _oracles import poisson_moment, raw_moments_to_cumulants, stirling2
 
 
 class TestGmmParams:
@@ -374,11 +373,21 @@ class TestCertifiedTailThreshold:
             assert truncated_poisson_tv(lam, tau) < delta
             assert tau > math.e * lam
 
-    def test_never_below_lemma_threshold(self):
-        for delta, lam in [(0.3, 1.0), (0.01, 4.0)]:
-            assert certified_tail_threshold(delta, lam) >= poisson_tail_threshold(
-                delta, lam
-            )
+    def test_smallest_certified_cutoff(self):
+        """No smaller cutoff is certified: tau - 1 is at most e*lam, or its
+        tail mass is at least delta, also far outside the Chernoff regime."""
+        for lam in (0.094, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
+            for delta in (0.1, 1e-6, 5e-13, 1e-300):
+                tau = certified_tail_threshold(delta, lam)
+                assert tau - 1 <= math.e * lam or truncated_poisson_tv(lam, tau - 1) >= delta
+
+    def test_known_cutoffs(self):
+        # below the Chernoff cutoffs 19 and 14 at rate 2; the benchmark's
+        # rates 6 and 4 at their per-draw budgets keep 30 and 25
+        assert certified_tail_threshold(1e-9, 2.0) == 15
+        assert certified_tail_threshold(2.5e-7, 2.0) == 12
+        assert certified_tail_threshold(5e-13, 6.0) == 30
+        assert certified_tail_threshold(1e-12, 4.0) == 25
 
     def test_monotone_in_delta(self):
         taus = [certified_tail_threshold(d, 6.0) for d in (1e-2, 1e-5, 1e-9)]

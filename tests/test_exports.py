@@ -53,10 +53,10 @@ def _quick_start():
 
 def test_readme_quick_start_runs():
     """The README's Python quick start runs as printed and learns the
-    means to within 0.15 (0.088 at the certified tau = 14)."""
+    means to within 0.15 (0.088 at the certified tau = 12)."""
     namespace = {"print": lambda *args: None}
     exec(compile(_quick_start(), "README.md", "exec"), namespace)
-    assert namespace["report"].params.tau == 14
+    assert namespace["report"].params.tau == 12
     assert namespace["report"].aligned_error < 0.15
 
 

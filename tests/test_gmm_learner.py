@@ -113,7 +113,7 @@ class TestLearnMeans:
 
     def test_default_tau_is_certified(self):
         """Without a tau the run truncates at the certified cutoff for
-        delta / (2 N), 14 on this mixture at N = 2e5, and its noise level
+        delta / (2 N), 12 on this mixture at N = 2e5, and its noise level
         tau * Sigma leaves the means readable (aligned error 0.088)."""
         gmm = GmmParams(
             np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0.5, 0.5]), 0.01 * np.eye(2)
@@ -121,7 +121,7 @@ class TestLearnMeans:
         rep = learn_means(
             gmm, 2, 4, 0.1, SeededRng(21), 200_000,
         )
-        assert rep.params.tau == 14
+        assert rep.params.tau == 12
         assert rep.diagnostics["tv_certified"]
         assert rep.aligned_error < 0.15
 
