@@ -542,6 +542,8 @@ def _cmd_reduction_check(config, out_dir):
     with _config_values():
         lam = _finite(config.get("lam", 5.0), "lam")
         _require(lam > 0.0, f"bad config value: lam must be positive, got {lam}")
+        # the marginal check keeps one histogram bin per count
+        _require(lam <= 1e6, f"bad config value: lam must be at most 1e6, got {lam}")
         probs = [_finite(p, "probs") for p in _array(config, "probs", [0.2, 0.3, 0.5])]
         _require(probs, "bad config value: probs must not be empty")
         _require(min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= 1e-12,

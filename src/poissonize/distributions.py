@@ -31,6 +31,11 @@ __all__ = [
 _WEIGHT_TOL = 1e-12
 _PSD_TOL = -1e-10
 _PDF_BLOCK = 4096
+# SeededRng._invert: the head of a table ends at its first entry at or above
+# _HEAD_MASS, and a head of at most _HEAD_ENTRIES is counted pass by pass
+_HEAD_MASS = 0.99
+_HEAD_ENTRIES = 8
+_MAX_RATE = 2.0**52
 
 
 @dataclass
@@ -164,47 +169,61 @@ class SeededRng:
     def categorical(self, weights, size):
         """Indices sampled with the given probabilities via CDF inversion."""
         cdf = np.cumsum(np.asarray(weights, dtype=float))
-        cdf[-1] = 1.0  # guard the top against rounding
-        u = self.generator.random(int(size))
-        return np.searchsorted(cdf, u, side="left")
+        return self._invert(cdf, self.generator.random(int(size)))
+
+    @staticmethod
+    def _invert(cdf, u):
+        """Inverse-CDF lookup: for each u in [0, 1), the number of entries
+        of the nondecreasing table ``cdf`` below it.
+
+        The last entry is set to 1.0 in place first, so a u above a table
+        that rounds short of 1 lands on the last index.  When the entries
+        up to the first one at or above 0.99 number at most 8, each is
+        counted by one comparison pass over all u (the sequential search,
+        vectorized), and only the u above them are binary-searched;
+        otherwise the lookup is one binary search.  Either way the result
+        equals ``searchsorted(cdf, u, side="left")``.
+        """
+        cdf[-1] = 1.0
+        head = int(np.searchsorted(cdf, _HEAD_MASS)) + 1
+        if head > _HEAD_ENTRIES:
+            return np.searchsorted(cdf, u, side="left")
+        below = np.zeros(u.shape, dtype=np.uint8)
+        above = np.empty(u.shape, dtype=bool)
+        for c in cdf[:head]:
+            np.greater(u, c, out=above)
+            below += above
+        out = below.astype(np.int64)
+        tail = np.flatnonzero(above)
+        out[tail] += np.searchsorted(cdf[head:], u[tail], side="left")
+        return out
 
     # Poisson --------------------------------------------------------------
     def poisson(self, lam, size=None):
         """Poisson draws: inversion for lam <= 30, PTRS rejection above.
 
-        Inversion is the textbook sequential search evaluated against a
-        precomputed CDF table (identical recursion, vectorized lookup).
+        Inversion is the textbook sequential search against a CDF table
+        built by the pmf recursion, one uniform per draw (see ``_invert``).
+        Rates above 2**52 are refused: there the rejection step's doubles
+        carry no fraction, so its draws are no longer exact, and far above
+        it their int64 cast overflows.
         """
         lam = float(lam)
         if not lam >= 0:  # NaN too: the rejection loop would never accept
             raise ValueError("rate must be nonnegative")
+        if lam > _MAX_RATE:
+            raise ValueError(f"rate must be at most 2**52, got {lam:g}")
         scalar = size is None
         count = 1 if scalar else int(np.prod(size))
         if lam == 0.0:
             out = np.zeros(count, dtype=np.int64)
         elif lam <= self.INVERSION_CUTOFF:
-            out = self._poisson_inversion(lam, count)
+            out = self._invert(_poisson_cdf(lam), self.generator.random(count))
         else:
             out = self._poisson_ptrs(lam, count)
         if scalar:
             return int(out[0])
         return out.reshape(size)
-
-    def _poisson_inversion(self, lam, count):
-        # p_{k+1} = p_k * lam / (k+1), accumulated until the tail is below
-        # double rounding; the searchsorted is the sequential search.
-        terms = [math.exp(-lam)]
-        k = 0
-        cdf_val = terms[0]
-        limit = int(lam + 40.0 * math.sqrt(lam) + 50.0)
-        while cdf_val < 1.0 - 1e-18 and k < limit:
-            k += 1
-            terms.append(terms[-1] * lam / k)
-            cdf_val += terms[-1]
-        cdf = np.cumsum(np.array(terms))
-        u = self.generator.random(count)
-        draws = np.searchsorted(cdf, u, side="left")
-        return np.minimum(draws, len(cdf) - 1).astype(np.int64)
 
     def _poisson_ptrs(self, lam, count):
         # Hormann's transformed rejection with squeeze.
@@ -231,6 +250,20 @@ class SeededRng:
             out[pending[accept]] = k[accept].astype(np.int64)
             pending = pending[~accept]
         return out
+
+
+def _poisson_cdf(lam):
+    """CDF table of Poisson(lam) for inversion: p_{k+1} = p_k * lam / (k+1),
+    accumulated until the sum rounds to 1 or lam + 40 sqrt(lam) + 50 terms."""
+    terms = [math.exp(-lam)]
+    k = 0
+    cdf_val = terms[0]
+    limit = int(lam + 40.0 * math.sqrt(lam) + 50.0)
+    while cdf_val < 1.0 - 1e-18 and k < limit:
+        k += 1
+        terms.append(terms[-1] * lam / k)
+        cdf_val += terms[-1]
+    return np.cumsum(terms)
 
 
 def sample_gmm(gmm, count, rng):

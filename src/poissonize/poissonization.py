@@ -156,11 +156,12 @@ def _sample_direct(gmm, lam, tau, rng, count):
     n = gmm.n
     if count == 0:
         return np.empty((0, n + 1))
-    counts = np.column_stack([rng.poisson(w * lam, count) for w in gmm.weights])
-    worst = int(counts.sum(axis=1).max())
+    counts = np.stack([rng.poisson(w * lam, count) for w in gmm.weights], axis=1, dtype=float)
+    out = counts @ lift(gmm.means).T
+    # the last coordinate is R, an exact integer sum; check it before the noise
+    worst = int(out[:, n].max())
     if worst > tau:
         raise SubroutineFailure(worst, tau)
-    out = counts @ lift(gmm.means).T
     factor = _psd_factor(gmm.covariance)
     if np.any(factor):
         # a zero last column keeps the count coordinate exact

@@ -350,6 +350,8 @@ class TestConfigErrors:
         ("hardness", {"h_values": [-math.inf]}, "h_values must be finite, got -inf"),
         ("reduction-check", {"probs": [math.nan]}, "probs must be finite, got nan"),
         ("smoothed", {"families": []}, "families must not be empty"),
+        ("reduction-check", {"lam": 1e300}, "lam must be at most 1e6, got 1e+300"),
+        ("reduction-check", {"lam": 1e17}, "lam must be at most 1e6, got 1e+17"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -433,7 +435,8 @@ def reduction_check_configs(draw):
     non-finite numbers included."""
     probs = draw(st.sampled_from([[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.5, 0.6], []]))
     return {
-        "lam": draw(st.sampled_from([-1.0, 0.0, 0.1, 5.0, 30.0, 40.0, *_NON_FINITE])),
+        "lam": draw(st.sampled_from([-1.0, 0.0, 0.1, 5.0, 30.0, 40.0, 1e300,
+                                     *_NON_FINITE])),
         "probs": probs,
         "samples": draw(st.integers(0, 500)),
         "delta": draw(st.sampled_from([0.0, 1e-12, 0.5, 1.0, *_NON_FINITE])),

@@ -5,6 +5,7 @@ rational arithmetic (fractions) where the formulas are polynomial identities.
 Monte Carlo checks use fixed seeds and tolerances wide enough to be stable.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,8 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonize.distributions import (
+    _HEAD_ENTRIES,
+    _HEAD_MASS,
     GmmParams,
     SeededRng,
+    _poisson_cdf,
     certified_tail_threshold,
     empirical_poisson_tv,
     gmm_pdf,
@@ -105,6 +109,111 @@ class TestSeededRng:
     def test_poisson_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             SeededRng(0).poisson(-1.0)
+
+    @pytest.mark.parametrize("lam", [2.0**52 * (1 + 2.0**-52), 1e17, 1e300])
+    def test_poisson_rate_above_2_pow_52_rejected(self, lam):
+        with pytest.raises(ValueError, match="at most 2\\*\\*52"):
+            SeededRng(0).poisson(lam, 3)
+
+    def test_poisson_rate_2_pow_52_accepted(self):
+        draws = SeededRng(0).poisson(2.0**52, 3)
+        assert draws.dtype == np.int64 and np.all(np.abs(draws - 2**52) < 2**30)
+
+
+def searchsorted_reference(cdf, u):
+    """The lookup before the shared one: a binary search, clipped to the
+    last index."""
+    return np.minimum(np.searchsorted(cdf, u, side="left"), len(cdf) - 1)
+
+
+def lookup_probes(cdf, seed):
+    """Uniforms that stress a table: every entry below 1 hit exactly and one
+    double to either side of it, 0, the largest double below 1, and random
+    draws."""
+    inside = cdf[cdf < 1.0]
+    edges = np.concatenate([inside, np.nextafter(inside, 0.0), np.nextafter(inside, 1.0)])
+    extremes = [0.0, np.nextafter(1.0, 0.0)]
+    draws = np.random.default_rng(seed).random(20_000)
+    return np.concatenate([edges[(edges >= 0.0) & (edges < 1.0)], extremes, draws])
+
+
+class TestInverseCdfLookup:
+    """SeededRng._invert returns the binary search's index for every u."""
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.3, 0.67, 1.0, 1.33, 2.0, 2.6, 3.0, 6.0, 30.0])
+    def test_poisson_tables(self, lam):
+        cdf = _poisson_cdf(lam)
+        u = lookup_probes(cdf, int(lam * 1000))
+        got = SeededRng._invert(cdf.copy(), u)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, searchsorted_reference(cdf, u))
+
+    def test_rates_reach_both_forms_of_the_lookup(self):
+        """The head (the entries up to the first at or above 0.99) has one
+        entry at lam = 1e-3, 8 at lam = 2.6 and 9 at lam = 3: the rates of
+        test_poisson_tables use the comparison passes on one side of the
+        8-entry switch and the binary search on the other."""
+        heads = {lam: int(np.searchsorted(_poisson_cdf(lam), _HEAD_MASS)) + 1
+                 for lam in (1e-3, 2.6, 3.0, 30.0)}
+        assert heads[1e-3] == 1
+        assert heads[2.6] == _HEAD_ENTRIES < heads[3.0] < heads[30.0]
+
+    @pytest.mark.parametrize("lam", [0.67, 1.33])
+    def test_flat_tail_short_of_one(self, lam):
+        """At these rates the table's tail terms no longer change the sum,
+        which stays below 1: the table ends in a plateau below 1, a tie there
+        lands on the plateau's first index, and a u above it (1.33 only; at
+        0.67 the plateau is the largest double below 1) on the last."""
+        cdf = _poisson_cdf(lam)
+        plateau = cdf[-1]
+        assert plateau < 1.0 and cdf[-2] == plateau
+        first = int(np.argmax(cdf == plateau))
+        u = np.array([plateau, np.nextafter(1.0, 0.0)])
+        top = first if plateau == u[1] else len(cdf) - 1
+        got = SeededRng._invert(cdf.copy(), u)
+        np.testing.assert_array_equal(got, [first, top])
+        np.testing.assert_array_equal(got, searchsorted_reference(cdf, u))
+
+    @pytest.mark.parametrize("weights", [
+        [0.2, 0.0, 0.3, 0.0, 0.0, 0.5],  # zero-weight categories in the head
+        [0.1] * 10,  # partial sums that round short of 1
+        [0.995, 0.0, 0.005],  # a one-entry head, then a plateau
+        [1.0 / 12] * 12,  # more than 8 entries below 0.99
+        np.arange(1, 37) / 666.0,
+    ])
+    def test_categorical_tables(self, weights):
+        cdf = np.cumsum(np.asarray(weights, dtype=float))
+        u = lookup_probes(cdf, len(weights))
+        np.testing.assert_array_equal(SeededRng._invert(cdf.copy(), u),
+                                      searchsorted_reference(cdf, u))
+
+
+class TestPinnedStreams:
+    """sha256 of the int64 draws of SeededRng(2026), recorded before the
+    shared inverse-CDF lookup existed: the lookup must not move a draw."""
+
+    @staticmethod
+    def digest(draws):
+        return hashlib.sha256(np.asarray(draws, dtype=np.int64).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("lam, expected", [
+        (0.01, "645a8e9fdba6199c2178aa06b6773364765588c10378300694ffa31da95289ad"),
+        (1.0, "e902dc8e0f2514e1bad6430cf66daaed899d3bdb46f506872a0df9fade641be8"),
+        (6.0, "55a53194183e3e1c463a8446062e3bee8670949a75f27cc48264a801759b37e2"),
+        (29.9, "21566b6f76ab3d0f204721e9e83d1dce8fe27be3b004f00d85efe5b44e9462db"),
+        (45.0, "a4b7a9f48bd8dea82c071be522f779032cf6c783327465d2c3fa3de9ca20038e"),
+    ])
+    def test_poisson(self, lam, expected):
+        assert self.digest(SeededRng(2026).poisson(lam, 10**5)) == expected
+
+    @pytest.mark.parametrize("k, expected", [
+        (6, "3f43ba9bae3f75c888bb5f93a10349bc194163acae57e24aa12eedbcb385092d"),
+        (36, "242da5dff5d3c2e0bdd57507a681bde6aa151fcb119f1f1d43501064ba83f534"),
+    ])
+    def test_categorical(self, k, expected):
+        weights = np.arange(1, k + 1, dtype=float)
+        weights /= weights.sum()
+        assert self.digest(SeededRng(2026).categorical(weights, 10**5)) == expected
 
 
 class TestSampleGmm:

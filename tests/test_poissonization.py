@@ -220,6 +220,29 @@ class TestSampleApproxIcaBatch:
         out = sample_approx_ica_batch(toy_gmm(), 2.0, 10, SeededRng(0), 0)
         assert out.shape == (0, 3)
 
+    def test_truncation_boundary(self):
+        """A block whose largest count R equals tau is returned whole; at tau
+        one below it the block raises with that count, and the raise comes
+        right after the m Poisson columns, before any noise is drawn."""
+        gmm = GmmParams(np.array([[2.0, -1.0, 0.5], [0.0, 3.0, 1.0]]),
+                        np.array([0.2, 0.3, 0.5]), 0.1 * np.eye(2))
+        lam, rows, seed = 3.0, 50_000, 14
+        free = sample_approx_ica_batch(gmm, lam, 1000, SeededRng(seed), rows)
+        worst = int(free[:, -1].max())
+        assert worst - 1 > math.e * lam
+        kept = sample_approx_ica_batch(gmm, lam, worst, SeededRng(seed), rows)
+        assert kept.shape == free.shape
+        np.testing.assert_array_equal(kept[:, -1], free[:, -1])
+
+        rng = SeededRng(seed)
+        with pytest.raises(SubroutineFailure) as info:
+            sample_approx_ica_batch(gmm, lam, worst - 1, rng, rows)
+        assert info.value.count == worst and info.value.tau == worst - 1
+        after_counts = SeededRng(seed)
+        for w in gmm.weights:
+            after_counts.poisson(w * lam, rows)
+        assert rng.generator.bit_generator.state == after_counts.generator.bit_generator.state
+
     def test_acceptance_rate_matches_cdf(self):
         """Fraction of batches that survive equals P(max R_i <= tau);
         checked via the per-draw acceptance probability on singles."""
