@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonize.distributions import (
-    _HEAD_ENTRIES,
     _HEAD_MASS,
+    _HEAD_MAX,
     GmmParams,
     SeededRng,
     _poisson_cdf,
@@ -148,15 +148,14 @@ class TestInverseCdfLookup:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, searchsorted_reference(cdf, u))
 
-    def test_rates_reach_both_forms_of_the_lookup(self):
+    def test_poisson_heads_stay_below_the_cap(self):
         """The head (the entries up to the first at or above 0.99) has one
-        entry at lam = 1e-3, 8 at lam = 2.6 and 9 at lam = 3: the rates of
-        test_poisson_tables use the comparison passes on one side of the
-        8-entry switch and the binary search on the other."""
+        entry at lam = 1e-3 and 44 at lam = 30, the largest inverted rate:
+        every Poisson table is counted by comparison passes, none is capped."""
         heads = {lam: int(np.searchsorted(_poisson_cdf(lam), _HEAD_MASS)) + 1
-                 for lam in (1e-3, 2.6, 3.0, 30.0)}
-        assert heads[1e-3] == 1
-        assert heads[2.6] == _HEAD_ENTRIES < heads[3.0] < heads[30.0]
+                 for lam in (1e-3, 30.0)}
+        assert heads == {1e-3: 1, 30.0: 44}
+        assert heads[30.0] < _HEAD_MAX
 
     @pytest.mark.parametrize("lam", [0.67, 1.33])
     def test_flat_tail_short_of_one(self, lam):
@@ -178,8 +177,11 @@ class TestInverseCdfLookup:
         [0.2, 0.0, 0.3, 0.0, 0.0, 0.5],  # zero-weight categories in the head
         [0.1] * 10,  # partial sums that round short of 1
         [0.995, 0.0, 0.005],  # a one-entry head, then a plateau
-        [1.0 / 12] * 12,  # more than 8 entries below 0.99
+        [1.0 / 12] * 12,
         np.arange(1, 37) / 666.0,
+        [0.98 / 254] * 254 + [0.02],  # a head of 255 entries, the cap
+        [0.98 / 255] * 255 + [0.02],  # a head of 256, cut at 255
+        [1.0 / 300] * 300,  # a head of 298, cut at 255
     ])
     def test_categorical_tables(self, weights):
         cdf = np.cumsum(np.asarray(weights, dtype=float))
