@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import math
 import os
@@ -180,6 +181,56 @@ def _gmm_from_config(block):
     return GmmParams(means.T, weights, covariance)
 
 
+# thread-count entry points of OpenBLAS, (set, get): scipy's wheel builds
+# rename them, a system build keeps the plain names
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _openblas_thread_controls():
+    """The (set, get) thread-count functions of every OpenBLAS this process
+    has loaded, found through /proc/self/maps; empty where that file cannot
+    be read or no OpenBLAS is loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(library, set_name, None)
+            getter = getattr(library, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread(controls):
+    """Every OpenBLAS of ``controls`` on one thread for the block, and back
+    on its own count after it, also when the block raises."""
+    saved = [(setter, getter()) for setter, getter in controls]
+    try:
+        for setter, _ in saved:
+            setter(1)
+        yield
+    finally:
+        for setter, count in saved:
+            setter(count)
+
+
 def _cmd_learn(config, out_dir):
     allowed = {
         "gmm", "generator", "d", "delta", "eps", "samples", "tau",
@@ -248,11 +299,10 @@ def _cmd_learn(config, out_dir):
     )
 
     root = SeededRng(seed)
-    records = []
-    timings = []
-    errors = []
-    status = 0
-    for trial in range(trials):
+
+    def run_trial(trial):
+        """One trial's record row, its seconds, and its failure reason if it
+        raised one of the modeled errors (else None)."""
         rng = root.derive(trial)
         if fixed_gmm is not None:
             gmm = fixed_gmm
@@ -274,6 +324,7 @@ def _cmd_learn(config, out_dir):
             "tv_gap": None, "lam": None, "tau": None, "eigengap": None,
             "samples_used": 0,
         }
+        error = None
         try:
             report = learn_means(
                 gmm, gmm.m, d, delta, rng, samples,
@@ -292,14 +343,29 @@ def _cmd_learn(config, out_dir):
                 eigengap=diag.get("eigengap"),
                 samples_used=report.samples_used,
             )
-            if report.failed:
-                status = 2
         except (FeasibilityError, IllConditionedError, DegenerateModelError) as exc:
-            row.update(failed=True, reason=f"{type(exc).__name__}: {exc}")
-            errors.append(row["reason"])
-            status = 2
-        timings.append(time.perf_counter() - started)
-        records.append(row)
+            error = f"{type(exc).__name__}: {exc}"
+            row.update(failed=True, reason=error)
+        return row, time.perf_counter() - started, error
+
+    # imported here, so that the other commands do not load the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Trials are independent streams, so they run side by side, each on one
+    # BLAS thread: its product sums then have the same bits whatever the
+    # ambient thread count, and idle BLAS helper threads do not spin against
+    # the trials.  Without a way to pin BLAS, trials run one at a time.  The
+    # controls come from procfs, so the affinity call exists wherever they
+    # were found.
+    blas = _openblas_thread_controls()
+    workers = min(trials, len(os.sched_getaffinity(0))) if blas else 1
+    pinned = _one_blas_thread(blas) if workers > 1 else contextlib.nullcontext()
+    with pinned, ThreadPoolExecutor(workers) as pool:
+        # map yields in trial order and cancels the pending trials when one
+        # raises
+        records, timings, errors = zip(*pool.map(run_trial, range(trials)))
+    errors = [error for error in errors if error is not None]
+    status = 2 if any(row["failed"] for row in records) else 0
 
     aligned = [r["aligned_error"] for r in records if r["aligned_error"] is not None]
     extra = {
@@ -307,10 +373,12 @@ def _cmd_learn(config, out_dir):
         "failure_count": sum(1 for r in records if r["failed"]),
         "aligned_errors": aligned,
         "median_aligned_error": float(np.median(aligned)) if aligned else None,
-        "trial_seconds": timings,
+        "trial_seconds": list(timings),
         "errors": errors,
+        "workers": workers,
+        "blas_threads": 1 if workers > 1 else None,
     }
-    return records, resolved, extra, status
+    return list(records), resolved, extra, status
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +632,12 @@ def _cmd_reduction_check(config, out_dir):
                  f"bad config value: grid_lams must be nonnegative, got {grid_lams}")
         _require(min(grid_taus) >= 0,
                  f"bad config value: grid_taus must be nonnegative, got {grid_taus}")
+        # the brute-force side of the identity enumerates tau + 10 lam + 200
+        # counts per grid point
+        _require(max(grid_lams) <= 1e6,
+                 f"bad config value: grid_lams must be at most 1e6, got {grid_lams}")
+        _require(max(grid_taus) <= 1e6,
+                 f"bad config value: grid_taus must be at most 1e6, got {grid_taus}")
         seed = int(config.get("seed", 0))
     resolved = {
         "lam": lam, "probs": probs, "samples": samples, "delta": delta,

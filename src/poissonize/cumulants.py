@@ -36,8 +36,8 @@ __all__ = [
 ]
 
 _MAX_JOINT_ORDER = 8
-# scratch entries of one row tile (8 MB): rows per tile = this // monomials
-_TILE_ENTRIES = 2**20
+# scratch entries of one row tile (4 MB): rows per tile = this // monomials
+_TILE_ENTRIES = 2**19
 
 
 @dataclass
@@ -84,9 +84,12 @@ class MomentAccumulator:
     order // 2 (the constant 1 included) are the rows of one array P, and
     ``P[:low] @ P.T``, over the rows of degree <= order // 2, holds every
     sum: each key reads the entry that its index tuple splits into.
-    Per-entry Kahan compensation across tiles keeps the sums independent of
-    how the rows are split into chunks, to rounding; their last bits depend
-    on the BLAS build and thread count.
+    A tile holds as many rows as fit 2**19 monomial entries (4 MB of
+    scratch), and is shifted on its own, so ``update`` allocates no copy of
+    the whole chunk.  Per-entry Kahan compensation across tiles keeps the
+    sums independent of how the rows are split into chunks, to rounding;
+    their last bits depend on the tile size, the BLAS build and its thread
+    count.
     """
 
     def __init__(self, dim, order, shift=None):
@@ -152,10 +155,9 @@ class MomentAccumulator:
         c = chunk.shape[0]
         if c == 0:
             return
-        z = np.subtract(chunk.T, self.shift[:, None], order="C")
         scratch = np.empty(self._monomials * min(c, self._tile))
         for start in range(0, c, self._tile):
-            zt = z[:, start : start + self._tile]
+            zt = np.subtract(chunk[start : start + self._tile].T, self.shift[:, None], order="C")
             p = scratch[: self._monomials * zt.shape[1]].reshape(self._monomials, -1)
             p[0] = 1.0
             for src, stop, i, dst in self._steps:

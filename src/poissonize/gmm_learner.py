@@ -214,6 +214,7 @@ def learn_means(
             if acc is None:
                 acc = MomentAccumulator(block.shape[1], d + 1, shift=block.mean(axis=0))
             acc.update(block)
+            del block  # so the next block is drawn without this one alive
     except SubroutineFailure as failure:
         diagnostics["failure_count"] = failure.count
         return LearnReport(

@@ -38,6 +38,9 @@ __all__ = [
     "tv_gap",
 ]
 
+# rows of noise drawn and mapped at a time by the direct sampler
+_NOISE_ROWS = 2**14
+
 
 class SubroutineFailure(RuntimeError):
     """Raised when a Poisson repetition count exceeds the truncation tau.
@@ -156,18 +159,24 @@ def _sample_direct(gmm, lam, tau, rng, count):
     n = gmm.n
     if count == 0:
         return np.empty((0, n + 1))
-    counts = np.stack([rng.poisson(w * lam, count) for w in gmm.weights], axis=1, dtype=float)
+    counts = np.empty((count, gmm.m))
+    for j, w in enumerate(gmm.weights):
+        counts[:, j] = rng.poisson(w * lam, count)
     out = counts @ lift(gmm.means).T
-    # the last coordinate is R, an exact integer sum; check it before the noise
+    del counts
+    # the last coordinate is R, an exact integer sum; check it before the
+    # noise, which leaves it exact
     worst = int(out[:, n].max())
     if worst > tau:
         raise SubroutineFailure(worst, tau)
     factor = _psd_factor(gmm.covariance)
     if np.any(factor):
-        # a zero last column keeps the count coordinate exact
-        noise_map = np.zeros((n, n + 1))
-        noise_map[:, :n] = math.sqrt(tau) * factor.T
-        out += rng.standard_normal((count, n)) @ noise_map
+        noise_map = math.sqrt(tau) * factor.T
+        # the normals are drawn one row tile at a time, in the order of one
+        # draw of them all, so only a tile of them is held
+        for start in range(0, count, _NOISE_ROWS):
+            rows = out[start : start + _NOISE_ROWS, :n]
+            rows += rng.standard_normal(rows.shape) @ noise_map
     return out
 
 

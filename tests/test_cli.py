@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonize
+from poissonize import cli
 from poissonize.cli import main
 
 TOY_LEARN = {
@@ -48,15 +49,17 @@ def read_summary(out_dir):
     return json.loads((out_dir / "summary.json").read_text())
 
 
-def run_module(*args, timeout=None):
-    """``python -m poissonize ARGS`` in a child process, without an install;
-    past ``timeout`` seconds the child is killed and the call raises."""
+def run_module(*args, timeout=None, env=None):
+    """``python -m poissonize ARGS`` in a child process, without an install,
+    with ``env`` added to the environment; past ``timeout`` seconds the
+    child is killed and the call raises."""
     # A relative PYTHONPATH inherited from the parent would only resolve
     # from the repo root, so the package's own source directory goes first.
     src_dir = str(Path(poissonize.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = {
         **os.environ,
+        **(env or {}),
         "PYTHONPATH": os.pathsep.join([src_dir] + ([inherited] if inherited else [])),
     }
     return subprocess.run(
@@ -228,6 +231,119 @@ class TestLearnCommand:
         assert "kurtosis" in capsys.readouterr().err
 
 
+# the learn columns that must agree exactly between a trial of a
+# multi-trial run and the single-trial run at its seed
+_EXACT_LEARN_COLUMNS = ("seed", "failed", "reason", "lam", "tau", "samples_used")
+_FLOAT_LEARN_COLUMNS = ("aligned_error", "weight_max_error", "weight_sum",
+                        "tv_gap", "eigengap")
+_BLAS = cli._openblas_thread_controls()
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_pinned_blas = pytest.mark.skipif(
+    not _BLAS or _CPUS < 2, reason="trials run one at a time without OpenBLAS and two CPUs")
+
+
+class TestConcurrentTrials:
+    """Trials run side by side, each on one BLAS thread, and are written in
+    trial order."""
+
+    def test_rows_match_single_trial_runs(self, tmp_path):
+        """Trial i of a 3-trial run is the 1-trial run at seed root + i: the
+        same stream, whatever ran beside it."""
+        config = {"generator": {"n": 4, "m": 4}, "samples": 40_000, "seed": 21}
+        cfg = write_config(tmp_path, {**config, "trials": 3})
+        out = tmp_path / "all"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [row["trial"] for row in rows] == ["0", "1", "2"]
+        summary = read_summary(out)
+        assert summary["workers"] == (min(3, _CPUS) if _BLAS else 1)
+        assert summary["blas_threads"] == (1 if summary["workers"] > 1 else None)
+        for trial, row in enumerate(rows):
+            single = tmp_path / f"single{trial}"
+            cfg = write_config(tmp_path, {**config, "seed": 21 + trial, "trials": 1},
+                               name=f"single{trial}.json")
+            assert main(["learn", "--config", cfg, "--out", str(single)]) == 0
+            (alone,) = read_rows(single)
+            assert read_summary(single)["workers"] == 1
+            assert read_summary(single)["blas_threads"] is None
+            for column in _EXACT_LEARN_COLUMNS:
+                assert row[column] == alone[column], column
+            for column in _FLOAT_LEARN_COLUMNS:
+                assert math.isclose(float(row[column]), float(alone[column]),
+                                    rel_tol=1e-12), column
+
+    @needs_pinned_blas
+    def test_records_identical_across_blas_thread_counts(self, tmp_path):
+        """With two trials, records.csv has the same bytes under one and two
+        BLAS threads, in child processes that read the count at start-up."""
+        cfg = write_config(tmp_path, {"generator": {"n": 4, "m": 4}, "samples": 40_000,
+                                      "trials": 2, "seed": 5})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_module("learn", "--config", cfg, "--out", str(out), timeout=300,
+                              env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "records.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @needs_pinned_blas
+    def test_blas_threads_pinned_then_restored(self, tmp_path, monkeypatch):
+        """Every trial sees one BLAS thread, and each library's own count is
+        back after learn returns, also when a trial raises."""
+        real_learn_means = cli.learn_means
+        seen = []
+
+        def learn_means(*args, **kwargs):
+            seen.append([getter() for _, getter in _BLAS])
+            if args[4].seed == 101:
+                raise RuntimeError("trial 1 broke")
+            return real_learn_means(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "learn_means", learn_means)
+        before = [getter() for _, getter in _BLAS]
+        try:
+            for setter, _ in _BLAS:
+                setter(2)
+            ambient = [getter() for _, getter in _BLAS]
+            cfg = write_config(tmp_path, {**TOY_LEARN, "seed": 100, "trials": 2})
+            with pytest.raises(RuntimeError, match="trial 1 broke"):
+                main(["learn", "--config", cfg, "--out", str(tmp_path / "broken")])
+            assert [getter() for _, getter in _BLAS] == ambient
+            cfg = write_config(tmp_path, {**TOY_LEARN, "seed": 200, "trials": 2},
+                               name="whole.json")
+            assert main(["learn", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+            assert [getter() for _, getter in _BLAS] == ambient
+        finally:
+            for (setter, _), count in zip(_BLAS, before):
+                setter(count)
+        assert len(seen) == 4
+        assert all(counts == [1] * len(_BLAS) for counts in seen)
+
+    def test_modeled_failures_keep_trial_order(self, tmp_path):
+        """Trials that abort on truncation and trials that succeed, run side
+        by side, exit 2 with their rows in trial order, each as it fails or
+        succeeds alone."""
+        config = {**TOY_LEARN, "tau": 9, "samples": 5_000, "seed": 31}
+        cfg = write_config(tmp_path, {**config, "trials": 4})
+        out = tmp_path / "all"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
+        rows = read_rows(out)
+        assert [row["trial"] for row in rows] == ["0", "1", "2", "3"]
+        assert [row["seed"] for row in rows] == ["31", "32", "33", "34"]
+        failed = [row["failed"] for row in rows]
+        assert failed == ["false", "true", "true", "false"]
+        assert read_summary(out)["failure_count"] == failed.count("true")
+        for trial, row in enumerate(rows):
+            single = tmp_path / f"single{trial}"
+            cfg = write_config(tmp_path, {**config, "seed": 31 + trial, "trials": 1},
+                               name=f"single{trial}.json")
+            status = main(["learn", "--config", cfg, "--out", str(single)])
+            (alone,) = read_rows(single)
+            assert status == (2 if row["failed"] == "true" else 0)
+            assert (row["failed"], row["reason"]) == (alone["failed"], alone["reason"])
+
+
 class TestConfigErrors:
     def test_malformed_json_line_numbered(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -352,6 +468,10 @@ class TestConfigErrors:
         ("smoothed", {"families": []}, "families must not be empty"),
         ("reduction-check", {"lam": 1e300}, "lam must be at most 1e6, got 1e+300"),
         ("reduction-check", {"lam": 1e17}, "lam must be at most 1e6, got 1e+17"),
+        ("reduction-check", {"grid_lams": [1e12], "grid_taus": [3]},
+         "grid_lams must be at most 1e6, got [1000000000000.0]"),
+        ("reduction-check", {"grid_taus": [3, 10**12]},
+         "grid_taus must be at most 1e6, got [3, 1000000000000]"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):

@@ -243,8 +243,8 @@ class TestMomentAccumulator:
             assert gap <= 1e-12 * scale[ell]
 
     @pytest.mark.parametrize("dim, order, rows, bounds", [
-        # row tiles of 2**20 // monomials rows: 8738 at (7, 5), 8322 at
-        # (5, 7), so about 2.3 tiles whose boundaries fall inside chunks
+        # row tiles of 2**19 // monomials rows: 4369 at (7, 5), 4161 at
+        # (5, 7), so about 4.6 tiles whose boundaries fall inside chunks
         (7, 5, 20_000, (0, 5_000, 5_000, 18_001, 20_000)),
         (5, 7, 19_000, (0, 7_000, 16_000, 19_000)),
         # the order cap on one coordinate, and order 1 (only the constant
