@@ -403,7 +403,11 @@ def _cmd_smoothed(config, out_dir):
         "families": families, "n": n, "sigma": sigma,
         "trials": trials, "seed": seed,
     }
-    results = run_smoothed(families, n, sigma, trials, SeededRng(seed))
+    # one BLAS thread: the trials' small value-only SVDs run faster on it,
+    # and the records keep the bits of a one-thread run under any count
+    blas = _openblas_thread_controls()
+    with _one_blas_thread(blas):
+        results = run_smoothed(families, n, sigma, trials, SeededRng(seed))
     records = [asdict(r) for r in results]
     per_family = {
         family: sum(1 for r in results if r.family == family and r.passed)
@@ -415,6 +419,7 @@ def _cmd_smoothed(config, out_dir):
         "odot_dominates": bool(
             all(r.sigma_min_kr_odot2 >= r.sigma_min_kr2 for r in results)
         ),
+        "blas_threads": 1 if blas else None,
     }
     return records, resolved, extra, 0
 
@@ -554,6 +559,14 @@ def _cmd_ica_bench(config, out_dir):
         _require(0.0 < cum_low <= cum_high,
                  "bad config value: need 0 < cum_low <= cum_high, "
                  f"got {cum_low} and {cum_high}")
+        # The mixing columns have unit norm, so every entry of the exact
+        # cumulant tensors, and the trace of M0, is at most m * cum_high in
+        # magnitude; the solver also adds M0 to its transpose.
+        limit = sys.float_info.max / (2 * m)
+        _require(cum_high <= limit,
+                 f"bad config value: cum_high must be at most {limit:.6g} (the largest "
+                 "float over 2 m), so that the exact cumulant tensors stay finite, "
+                 f"got {cum_high}")
         seed = int(config.get("seed", 0))
     resolved = {
         "n": n, "m": m, "d": d, "trials": trials, "sigma_floor": floor,

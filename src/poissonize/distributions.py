@@ -277,7 +277,7 @@ def sample_gmm(gmm, count, rng):
     if count == 0:
         return np.zeros((0, n))
     comps = rng.categorical(gmm.weights, count)
-    out = gmm.means.T[comps].copy()
+    out = gmm.means.T[comps]
     factor = _psd_factor(gmm.covariance)
     if np.any(factor):
         out += rng.standard_normal((count, n)) @ factor.T
@@ -289,7 +289,9 @@ def gmm_pdf(gmm, x):
     covariance).
 
     The points are whitened once and walked in blocks of 4096, so the
-    temporaries never exceed two (components x block) arrays.
+    temporaries never exceed two (components x block) arrays.  Up to one
+    block is returned as computed, so the 1-D quadrature's one-point calls
+    pay for no copy and no loop.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = gmm.n
@@ -297,19 +299,31 @@ def gmm_pdf(gmm, x):
         raise ValueError(f"points must have dimension {n}")
     whiten, centers, scaled = gmm._density_factors
     z = x @ whiten
+    if z.shape[0] <= _PDF_BLOCK:
+        return _density_block(centers, scaled, z)
     dens = np.empty(z.shape[0])
     for start in range(0, z.shape[0], _PDF_BLOCK):
-        block = z[start : start + _PDF_BLOCK]
-        sq = np.zeros((gmm.m, block.shape[0]))
+        dens[start : start + _PDF_BLOCK] = _density_block(
+            centers, scaled, z[start : start + _PDF_BLOCK])
+    return dens
+
+
+def _density_block(centers, scaled, z):
+    """Mixture density at the whitened rows ``z``, from the factors of
+    ``GmmParams._density_factors``.  The squared distances are summed over
+    the coordinates in order, starting from the first one's, which is what
+    adding it to zeros gives, bit for bit."""
+    sq = np.subtract(centers[:, 0, None], z[:, 0])
+    np.multiply(sq, sq, out=sq)
+    if z.shape[1] > 1:
         diff = np.empty_like(sq)
-        for j in range(n):
-            np.subtract(centers[:, j, None], block[:, j], out=diff)
+        for j in range(1, z.shape[1]):
+            np.subtract(centers[:, j, None], z[:, j], out=diff)
             np.multiply(diff, diff, out=diff)
             sq += diff
-        sq *= -0.5
-        np.exp(sq, out=sq)
-        dens[start : start + _PDF_BLOCK] = scaled @ sq
-    return dens
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    return scaled @ sq
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Exact oracles for the tests: scalar moment and cumulant identities.
+"""Exact oracles for the tests: scalar moment and cumulant identities, and
+a reference loop for the mixture density's bits.
 
-Each is exact for exact inputs (integers or Fractions), so the tests can
-check the package's floating-point estimators and the identities among the
-oracles themselves without tolerance.
+Each identity is exact for exact inputs (integers or Fractions), so the
+tests can check the package's floating-point estimators and the identities
+among the oracles themselves without tolerance.
 """
 
 import math
+
+import numpy as np
 
 _MAX_MOMENT_ORDER = 20
 
@@ -68,3 +71,21 @@ def poisson_moment(ell, lam):
     """
     ell = _check_order(ell)
     return sum(lam**i * _stirling2(ell, i) for i in range(1, ell + 1))
+
+
+def density_loop(gmm, x, block=4096):
+    """Mixture density at the rows of ``x``, written as a plain loop over
+    blocks of rows, each summing the squared whitened distances into zeros
+    one coordinate at a time: the operations whose bits ``gmm_pdf`` keeps."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    whiten, centers, scaled = gmm._density_factors
+    z = x @ whiten
+    dens = np.empty(z.shape[0])
+    for start in range(0, z.shape[0], block):
+        rows = z[start : start + block]
+        sq = np.zeros((centers.shape[0], rows.shape[0]))
+        for j in range(z.shape[1]):
+            diff = centers[:, j, None] - rows[:, j]
+            sq += diff * diff
+        dens[start : start + block] = scaled @ np.exp(-0.5 * sq)
+    return dens

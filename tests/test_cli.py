@@ -240,6 +240,7 @@ _BLAS = cli._openblas_thread_controls()
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 needs_pinned_blas = pytest.mark.skipif(
     not _BLAS or _CPUS < 2, reason="trials run one at a time without OpenBLAS and two CPUs")
+needs_blas = pytest.mark.skipif(not _BLAS, reason="no OpenBLAS thread controls found")
 
 
 class TestConcurrentTrials:
@@ -472,6 +473,8 @@ class TestConfigErrors:
          "grid_lams must be at most 1e6, got [1000000000000.0]"),
         ("reduction-check", {"grid_taus": [3, 10**12]},
          "grid_taus must be at most 1e6, got [3, 1000000000000]"),
+        ("ica-bench", {"cum_low": 1e308, "cum_high": 1e308},
+         "cum_high must be at most 1.49808e+307 (the largest float over 2 m)"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -645,6 +648,56 @@ class TestSmoothedCommand:
         cfg = write_config(tmp_path, {"families": ["cauchy"]})
         assert main(["smoothed", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "cauchy" in capsys.readouterr().err
+
+    @needs_blas
+    def test_records_identical_across_blas_thread_counts(self, tmp_path):
+        """The SVDs run on one BLAS thread, so records.csv has the same bytes
+        under one and two ambient threads, in child processes that read the
+        count at start-up.  Unpinned, the last digits of this config's
+        values (n = 25, 300 columns) follow the thread count."""
+        cfg = write_config(tmp_path, {"n": 25, "families": ["gaussian"], "trials": 2,
+                                      "seed": 8})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_module("smoothed", "--config", cfg, "--out", str(out), timeout=300,
+                              env={"OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "records.csv").read_bytes())
+            assert read_summary(out)["blas_threads"] == 1
+        assert outputs[0] == outputs[1]
+
+    @needs_blas
+    def test_blas_threads_pinned_then_restored(self, tmp_path, monkeypatch):
+        """The trials see one BLAS thread, and each library's own count is
+        back after smoothed returns, also when run_smoothed raises."""
+        real_run_smoothed = cli.run_smoothed
+        seen = []
+
+        def run_smoothed(*args, **kwargs):
+            seen.append([getter() for _, getter in _BLAS])
+            if args[4].seed == 101:
+                raise RuntimeError("smoothed broke")
+            return real_run_smoothed(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_smoothed", run_smoothed)
+        before = [getter() for _, getter in _BLAS]
+        try:
+            for setter, _ in _BLAS:
+                setter(2)
+            ambient = [getter() for _, getter in _BLAS]
+            cfg = write_config(tmp_path, {"n": 5, "trials": 1, "seed": 101})
+            with pytest.raises(RuntimeError, match="smoothed broke"):
+                main(["smoothed", "--config", cfg, "--out", str(tmp_path / "broken")])
+            assert [getter() for _, getter in _BLAS] == ambient
+            cfg = write_config(tmp_path, {"n": 5, "trials": 1, "seed": 200},
+                               name="whole.json")
+            assert main(["smoothed", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+            assert [getter() for _, getter in _BLAS] == ambient
+        finally:
+            for (setter, _), count in zip(_BLAS, before):
+                setter(count)
+        assert seen == [[1] * len(_BLAS)] * 2
 
 
 class TestHardnessCommand:

@@ -30,7 +30,7 @@ from poissonize.distributions import (
     truncated_poisson_tv,
 )
 
-from _oracles import poisson_moment, raw_moments_to_cumulants, stirling2
+from _oracles import density_loop, poisson_moment, raw_moments_to_cumulants, stirling2
 
 
 class TestGmmParams:
@@ -292,6 +292,18 @@ class TestGmmPdf:
         x = 2.0 * rng.standard_normal((50, 2))
         rows = np.array([gmm_pdf(g, row)[0] for row in x])
         np.testing.assert_allclose(gmm_pdf(g, x), rows, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 4096, 5000])
+    def test_bits_of_the_reference_loop(self, n, count):
+        """One block and a block boundary have exactly the bits of the
+        plain per-block loop.  Single rows agree with a batch only to
+        rounding (test above): the last step is a BLAS matrix-vector
+        product, whose summation order depends on the row count."""
+        rng = np.random.default_rng(40 + n)
+        g = random_spd_mixture(rng, n, 5)
+        x = 2.0 * rng.standard_normal((count, n))
+        assert np.array_equal(gmm_pdf(g, x), density_loop(g, x))
 
     def test_second_call_reuses_cached_factors(self):
         rng = np.random.default_rng(6)

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr
 
 from poissonize import lowdim_hardness
@@ -35,6 +36,8 @@ from poissonize.lowdim_hardness import (
     target_f,
 )
 from poissonize.poissonization import IcaModel, sample_approx_ica_batch
+
+from _oracles import density_loop
 
 
 def unit_gaussian(center):
@@ -297,7 +300,38 @@ class TestMixturePair:
             MixturePair(p=p, q=shared, l1_distance=0.1)
 
 
+def reference_quadrature(p, q):
+    """The 1-D L1 distance over the reference density loop, one point per
+    call, on the range and break points of l1_distance."""
+    lo, hi = lowdim_hardness._QUAD_RANGE
+    for gmm in (p, q):
+        reach = lowdim_hardness._QUAD_SIGMAS * math.sqrt(float(gmm.covariance[0, 0]))
+        lo = min(lo, float(gmm.means.min()) - reach)
+        hi = max(hi, float(gmm.means.max()) + reach)
+
+    def gap(t):
+        x = np.array([[t]])
+        return abs(float(density_loop(p, x)[0]) - float(density_loop(q, x)[0]))
+
+    breaks = np.unique(np.concatenate([p.means.ravel(), q.means.ravel()])).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)[0]
+
+
 class TestL1Distance:
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+    def test_quadrature_bits_of_the_reference_density_on_decay_pairs(self, h):
+        """Each point's density has the bits of the reference loop, so quad
+        returns the same value."""
+        pair = build_close_pair(*equispaced_interleaved(h))
+        assert pair.l1_distance == reference_quadrature(pair.p, pair.q)
+
+    def test_quadrature_bits_of_the_reference_density_on_pigeonhole_pair(self):
+        rng = SeededRng(1000)
+        pair = pigeonhole_pair(random_points(100, 1, rng), rng)
+        assert pair.l1_distance == reference_quadrature(pair.p, pair.q)
+
     def test_identical_mixtures(self):
         p = GmmParams(np.array([[0.2, 0.8]]), np.array([0.5, 0.5]), np.eye(1))
         assert l1_distance(p, p)[0] == pytest.approx(0.0, abs=1e-10)
