@@ -175,7 +175,7 @@ def _gmm_from_config(block):
         raise ValueError(f"gmm block lacks {', '.join(missing)}")
     means = np.asarray(block["means"], dtype=float)
     if means.ndim != 2:
-        raise UsageError("gmm means must be a list of mean vectors")
+        raise ValueError("gmm means must be a list of mean vectors")
     weights = np.asarray(block["weights"], dtype=float)
     covariance = np.asarray(block["covariance"], dtype=float)
     return GmmParams(means.T, weights, covariance)
@@ -392,7 +392,8 @@ def _cmd_smoothed(config, out_dir):
         families = _array(config, "families", FAMILIES)
         _require(families, "bad config value: families must not be empty")
         unknown = sorted(set(families) - set(FAMILIES))
-        _require(not unknown, f"unknown families: {', '.join(unknown)}")
+        if unknown:
+            raise ValueError(f"unknown families: {', '.join(unknown)}")
         n = int(config.get("n", 10))
         _require(n >= 3, f"bad config value: n must be at least 3, got {n}")
         sigma = _finite(config.get("sigma", 0.1), "sigma")
@@ -431,7 +432,7 @@ def _cmd_smoothed(config, out_dir):
 
 _HARDNESS_MODE_KEYS = {
     "decay": {"h_values"},
-    "pigeonhole": {"k", "dimension", "instances", "l1_samples"},
+    "pigeonhole": {"k", "dimension", "instances"},
 }
 
 
@@ -442,7 +443,6 @@ def _cmd_hardness(config, out_dir):
     _check_keys(config, {"mode", "seed", "trials", "out"} | _HARDNESS_MODE_KEYS[mode])
     with _config_values():
         seed = int(config.get("seed", 0))
-    root = SeededRng(seed)
     status = 0
     if mode == "decay":
         with _config_values():
@@ -453,14 +453,13 @@ def _cmd_hardness(config, out_dir):
         resolved = {"mode": mode, "h_values": h_values, "seed": seed}
         records = []
         for index, (h, (x_set, y_set)) in enumerate(zip(h_values, designs)):
-            pair = build_close_pair(x_set, y_set, rng=root.derive(index))
+            pair = build_close_pair(x_set, y_set)
             records.append({
                 "h": h,
                 "points_per_set": x_set.size,
                 "components_p": pair.p.m,
                 "components_q": pair.q.m,
                 "l1_distance": pair.l1_distance,
-                "l1_error": pair.l1_error,
                 "min_center_distance": pair.min_center_distance,
                 "alpha": pair.alpha,
                 "beta": pair.beta,
@@ -474,15 +473,15 @@ def _cmd_hardness(config, out_dir):
             k = int(config.get("k", 5))
             _require(k >= 2, f"bad config value: k must be at least 2, got {k}")
             dimension = _count(config.get("dimension", 1), "dimension")
-            instances = _count(config.get("instances", config.get("trials", 10)),
-                               "instances")
-            l1_samples = _count(config.get("l1_samples", 200_000), "l1_samples")
-            _require(l1_samples >= 2, "bad config value: l1_samples must be at least 2 "
-                     f"for the Monte Carlo error, got {l1_samples}")
+            _require(dimension <= 3, "bad config value: dimension must be at most 3 "
+                     f"for the L1 distance, got {dimension}")
+            # trials, as the global flag sets it, wins over instances
+            instances = _count(config.get("trials", config.get("instances", 10)), "instances")
         resolved = {
             "mode": mode, "k": k, "dimension": dimension,
-            "instances": instances, "l1_samples": l1_samples, "seed": seed,
+            "instances": instances, "seed": seed,
         }
+        root = SeededRng(seed)
         records = []
         failures = []
         for index in range(instances):
@@ -490,20 +489,19 @@ def _cmd_hardness(config, out_dir):
             row = {
                 "instance": index, "seed": rng.seed, "built": False,
                 "components_p": None, "components_q": None,
-                "equal_counts": None, "l1_distance": None, "l1_error": None,
+                "equal_counts": None, "l1_distance": None,
                 "min_center_distance": None, "fill": None,
                 "kernel_condition": None,
             }
             points = random_points(4 * k * k, dimension, rng)
             try:
-                pair = pigeonhole_pair(points, rng, l1_samples=l1_samples)
+                pair = pigeonhole_pair(points, rng)
                 row.update(
                     built=True,
                     components_p=pair.p.m,
                     components_q=pair.q.m,
                     equal_counts=bool(pair.p.m == pair.q.m),
                     l1_distance=pair.l1_distance,
-                    l1_error=pair.l1_error,
                     min_center_distance=pair.min_center_distance,
                     fill=pair.fill,
                     kernel_condition=pair.kernel_condition,
@@ -559,6 +557,10 @@ def _cmd_ica_bench(config, out_dir):
         _require(0.0 < cum_low <= cum_high,
                  "bad config value: need 0 < cum_low <= cum_high, "
                  f"got {cum_low} and {cum_high}")
+        # below the smallest normal float the exact tensors lose digits or underflow
+        _require(cum_low >= sys.float_info.min,
+                 f"bad config value: cum_low must be at least {sys.float_info.min:.6g} "
+                 f"(the smallest normal float), got {cum_low}")
         # The mixing columns have unit norm, so every entry of the exact
         # cumulant tensors, and the trace of M0, is at most m * cum_high in
         # magnitude; the solver also adds M0 to its transpose.

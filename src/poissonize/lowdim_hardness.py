@@ -23,12 +23,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr
 
-from .distributions import (
-    GmmParams,
-    certified_tail_threshold,
-    gmm_pdf,
-    sample_gmm,
-)
+from .distributions import GmmParams, certified_tail_threshold, gmm_pdf
 from .poissonization import IcaModel
 
 __all__ = [
@@ -54,6 +49,7 @@ _RESIDUAL_REL_TOL = 1e-8
 _REFINE_STEPS = 4
 _QUAD_RANGE = (-8.0, 9.0)
 _QUAD_SIGMAS = 8.0
+_GRID_SPACING = {2: 0.1, 3: 0.2}
 _RETRIES = 5
 _EMBED_DELTA = 1e-9
 
@@ -103,8 +99,7 @@ class PointSet:
 class MixturePair:
     """Two normalized disjointly-centered mixtures and their measured gap;
     min_center_distance is the least distance between a center of p and
-    one of q, and l1_error is the gap's Monte Carlo standard error (None
-    when the gap comes from quadrature)."""
+    one of q."""
 
     p: GmmParams
     q: GmmParams
@@ -114,7 +109,6 @@ class MixturePair:
     beta: float = 1.0
     fill: float = 0.0
     kernel_condition: float = 0.0
-    l1_error: float | None = None
 
     def __post_init__(self):
         if self.p.n != self.q.n:
@@ -242,19 +236,18 @@ def _cross_min_distance(a, b):
     return float(np.sqrt(_sq_distances(a, b).min()))
 
 
-def build_close_pair(x_set, y_set, rng=None, l1_samples=200_000):
+def build_close_pair(x_set, y_set):
     """Normalized mixture pair from the signed difference of interpolants.
 
     The difference f_X - f_Y is split by coefficient sign into p1 - p2; the
     normalizations alpha = sum p1, beta = sum p2 are recorded (both close to
     and at least about 1 when the interpolants are accurate).
     """
-    return _measured(_unmeasured_pair(x_set, y_set), rng, l1_samples)
+    return _measured(_unmeasured_pair(x_set, y_set))
 
 
 def _unmeasured_pair(x_set, y_set):
-    """build_close_pair without the L1 measurement (its l1_distance is NaN);
-    draws no random numbers."""
+    """build_close_pair without the L1 measurement (its l1_distance is NaN)."""
     if x_set.dimension != y_set.dimension:
         raise ValueError("point sets live in different dimensions")
     cross = _cross_min_distance(x_set.points, y_set.points)
@@ -285,25 +278,25 @@ def _unmeasured_pair(x_set, y_set):
     )
 
 
-def _measured(pair, rng, samples):
-    """The pair with its L1 distance and standard error filled in."""
-    pair.l1_distance, pair.l1_error = l1_distance(pair.p, pair.q, rng=rng, samples=samples)
+def _measured(pair):
+    """The pair with its L1 distance filled in."""
+    pair.l1_distance = l1_distance(pair.p, pair.q)
     return pair
 
 
-def l1_distance(p, q, rng=None, samples=200_000):
-    """L1 distance between two mixture densities over all of R^n.
+def l1_distance(p, q):
+    """L1 distance between two mixture densities over all of R^n, n <= 3.
 
     Univariate instances integrate |p - q| by adaptive quadrature over
     [-8, 9] widened to reach 8 standard deviations beyond every mean, which
-    holds all but < 1e-14 of both masses.  Higher dimensions use importance
-    sampling of ``samples`` (at least 2) draws from the balanced mixture
-    (p + q)/2, whose weight |p - q| / m is bounded by 2; a relative error
-    above 50% triggers an unreliable-estimate warning.  Returns the pair
-    (value, Monte Carlo standard error), the error None in 1-D.
+    holds all but < 1e-14 of both masses.  In 2-D and 3-D, |p - q| is summed
+    times the cell volume on a grid of spacing 0.1 or 0.2 from the corner of
+    the box reaching 8 standard deviations past every mean (a 4-D grid would
+    hold about 52M points).
     """
     if p.n != q.n:
         raise ValueError("mixtures live in different dimensions")
+    _check_grid_dimension(p.n)
     if p.n == 1:
         lo, hi = _QUAD_RANGE
         for gmm in (p, q):
@@ -321,32 +314,19 @@ def l1_distance(p, q, rng=None, samples=200_000):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             value, _ = quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)
-        return value, None
-    x = _monte_carlo_points(p, q, rng, samples)
-    dp = gmm_pdf(p, x)
-    dq = gmm_pdf(q, x)
-    ratios = np.abs(dp - dq) / (0.5 * (dp + dq))
-    value = float(ratios.mean())
-    err = float(ratios.std(ddof=1)) / math.sqrt(x.shape[0])
-    if err > 0.5 * max(value, 1e-300):
-        warnings.warn(
-            "L1 Monte Carlo estimate has relative error above 50%",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return value, err
+        return value
+    h = _GRID_SPACING[p.n]
+    reach = _QUAD_SIGMAS * np.sqrt(np.maximum(np.diag(p.covariance), np.diag(q.covariance)))
+    centers = np.hstack([p.means, q.means])
+    lo, hi = centers.min(axis=1) - reach, centers.max(axis=1) + reach
+    axes = [np.arange(a, b, h) for a, b in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.n)
+    return float(np.abs(gmm_pdf(p, grid) - gmm_pdf(q, grid)).sum()) * h**p.n
 
 
-def _monte_carlo_points(p, q, rng, samples):
-    """The importance-sampling draws of l1_distance: half from p, the rest
-    from q."""
-    if rng is None:
-        raise ValueError("monte-carlo estimation needs an rng")
-    samples = int(samples)
-    if samples < 2:
-        raise ValueError(f"monte-carlo estimation needs at least 2 samples, got {samples}")
-    half = samples // 2
-    return np.vstack([sample_gmm(p, half, rng), sample_gmm(q, samples - half, rng)])
+def _check_grid_dimension(n):
+    if n > 1 and n not in _GRID_SPACING:
+        raise ValueError(f"L1 distances are measured in dimensions 1 to 3, got {n}")
 
 
 def random_points(count, dimension, rng):
@@ -358,7 +338,7 @@ def _fill_resolution(dimension):
     return {1: 512, 2: 48, 3: 14}.get(int(dimension), 10)
 
 
-def pigeonhole_pair(points, rng, l1_samples=200_000):
+def pigeonhole_pair(points, rng):
     """Equal-component-count close pair from 4k^2 points.
 
     The points are split into 2k groups of 2k; each group's first and last k
@@ -367,18 +347,15 @@ def pigeonhole_pair(points, rng, l1_samples=200_000):
     the count differences take at most 2k - 1 values, so two groups must
     agree; averaging those two pairs crosswise gives mixtures with equal
     counts.  Groups whose build degenerates are skipped; if no collision
-    survives, the points are reshuffled, at most _RETRIES rounds in all.
-
-    Only the returned pair's L1 distance is measured, so only it can warn
-    of an unreliable estimate.  Above 1-D each pair passed over still takes
-    the Monte Carlo draws of its measurement from ``rng``, so every value
-    is the one that measuring each group in turn would give.
+    survives, the points are reshuffled by ``rng``, at most _RETRIES
+    rounds in all.  Only the returned pair's L1 distance is measured.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     total = points.shape[0]
     k = math.isqrt(max(total, 0) // 4)
     if total < 8 or 4 * k * k != total:
         raise ValueError("need 4k^2 points with k >= 2")
+    _check_grid_dimension(points.shape[1])
     resolution = _fill_resolution(points.shape[1])
     order = np.arange(total)
     for _ in range(_RETRIES):
@@ -395,9 +372,7 @@ def pigeonhole_pair(points, rng, l1_samples=200_000):
                 continue
         for pair in built:
             if pair.p.m == pair.q.m:
-                return _measured(pair, rng, l1_samples)
-            if pair.p.n > 1:
-                _monte_carlo_points(pair.p, pair.q, rng, l1_samples)
+                return _measured(pair)
         by_difference = {}
         collision = None
         for pair in built:
@@ -407,14 +382,14 @@ def pigeonhole_pair(points, rng, l1_samples=200_000):
                 break
             by_difference[key] = pair
         if collision is not None:
-            return _combine_pairs(*collision, rng=rng, l1_samples=l1_samples)
+            return _combine_pairs(*collision)
         order = rng.permutation(total)
     raise RuntimeError(
         "no two groups shared a component-count difference within the retry budget"
     )
 
 
-def _combine_pairs(first, second, rng, l1_samples):
+def _combine_pairs(first, second):
     """Crosswise average of two pairs with equal count differences."""
     if not np.allclose(first.p.covariance, second.p.covariance):
         raise ValueError("pairs must share the noise covariance")
@@ -435,7 +410,7 @@ def _combine_pairs(first, second, rng, l1_samples):
         fill=max(first.fill, second.fill),
         kernel_condition=max(first.kernel_condition, second.kernel_condition),
     )
-    return _measured(pair, rng, l1_samples)
+    return _measured(pair)
 
 
 def embed_as_ica(pair):
@@ -477,7 +452,6 @@ def pair_to_json(pair):
         "centers_q": pair.q.means.T.tolist(),
         "weights_q": pair.q.weights.tolist(),
         "l1_distance": float(pair.l1_distance),
-        "l1_error": pair.l1_error,
         "fill": float(pair.fill),
         "kernel_condition": float(pair.kernel_condition),
     }

@@ -399,8 +399,8 @@ class TestConfigErrors:
         ("learn", {**TOY_LEARN, "delta": 1.5}, "delta must lie in (0, 1)"),
         ("learn", {**TOY_LEARN, "eps": 0}, "eps must be positive"),
         ("learn", {"generator": {"n": 0}}, "generator n must be at least 1"),
-        ("hardness", {"mode": "pigeonhole", "dimension": 2, "l1_samples": 0},
-         "l1_samples must be at least 1"),
+        ("hardness", {"mode": "pigeonhole", "dimension": 4},
+         "dimension must be at most 3 for the L1 distance, got 4"),
         ("hardness", {"mode": "pigeonhole", "k": 1}, "k must be at least 2"),
         ("smoothed", {"n": 2}, "n must be at least 3"),
         ("reduction-check", {"probs": []}, "probs must not be empty"),
@@ -447,8 +447,7 @@ class TestConfigErrors:
         ("learn", {"samples": 10**400, "generator": {"n": 2, "m": 2}},
          "int too large to convert to float"),
         ("reduction-check", {"samples": 1}, "samples must be at least 2"),
-        ("hardness", {"mode": "pigeonhole", "dimension": 2, "l1_samples": 1},
-         "l1_samples must be at least 2"),
+        ("smoothed", {"families": ["cauchy", "zero"]}, "unknown families: cauchy"),
         ("ica-bench", {"n": 2, "m": 5, "d": 6},
          "m must be at most C(n + d/2 - 1, d/2) = 4 for n = 2, d = 6, got 5"),
         ("reduction-check", {"grid_lams": [1, math.nan]}, "grid_lams must be finite, got nan"),
@@ -475,6 +474,10 @@ class TestConfigErrors:
          "grid_taus must be at most 1e6, got [3, 1000000000000]"),
         ("ica-bench", {"cum_low": 1e308, "cum_high": 1e308},
          "cum_high must be at most 1.49808e+307 (the largest float over 2 m)"),
+        ("learn", {**TOY_LEARN, "gmm": {**TOY_LEARN["gmm"], "means": [2.0, 3.0]}},
+         "gmm means must be a list of mean vectors"),
+        ("ica-bench", {"cum_low": 5e-324, "cum_high": 5e-324, "trials": 2},
+         "cum_low must be at least 2.22507e-308 (the smallest normal float), got 5e-324"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -589,8 +592,8 @@ def ica_bench_configs(draw):
 
 @st.composite
 def hardness_configs(draw):
-    """Small `hardness` configs of either mode; too few L1 samples and
-    spacings that are not 1/(2k) included."""
+    """Small `hardness` configs of either mode; spacings that are not
+    1/(2k) included."""
     if draw(st.booleans()):
         return {
             "mode": "decay",
@@ -603,7 +606,6 @@ def hardness_configs(draw):
         "k": draw(st.integers(2, 3)),
         "dimension": draw(st.integers(1, 2)),
         "instances": 1,
-        "l1_samples": draw(st.sampled_from([1, 2, 1000])),
         "seed": draw(st.integers(0, 1000)),
     }
 
@@ -713,13 +715,13 @@ class TestHardnessCommand:
         exported = json.loads((out / "pair_decay_0.json").read_text())
         assert set(exported) == {
             "centers_p", "weights_p", "centers_q", "weights_q",
-            "l1_distance", "l1_error", "fill", "kernel_condition",
+            "l1_distance", "fill", "kernel_condition",
         }
 
     def test_pigeonhole_instances(self, tmp_path):
         cfg = write_config(tmp_path, {
             "mode": "pigeonhole", "k": 2, "dimension": 1,
-            "instances": 2, "l1_samples": 20_000,
+            "instances": 2,
         })
         out = tmp_path / "out"
         assert main(["hardness", "--config", cfg, "--out", str(out)]) == 0
@@ -727,26 +729,26 @@ class TestHardnessCommand:
         assert all(row["built"] == "true" for row in rows)
         assert all(row["equal_counts"] == "true" for row in rows)
 
-    def test_l1_error_recorded(self, tmp_path):
-        """Above 1-D the row and the pair file carry the Monte Carlo
-        standard error of the written L1 distance; a 1-D quadrature
-        distance has none (an empty column, a null key)."""
-        cfg = write_config(tmp_path, {
-            "mode": "pigeonhole", "k": 2, "dimension": 2,
-            "instances": 1, "l1_samples": 2000,
-        })
-        out = tmp_path / "pigeonhole"
+    def test_trials_flag_overrides_instances(self, tmp_path):
+        """--trials sets the instance count, as it sets every command's
+        trial count, over a config's instances."""
+        cfg = write_config(tmp_path, {"mode": "pigeonhole", "k": 2, "instances": 2})
+        out = tmp_path / "out"
+        assert main(["hardness", "--config", cfg, "--out", str(out), "--trials", "1"]) == 0
+        assert [row["instance"] for row in read_rows(out)] == ["0"]
+        assert read_summary(out)["config"]["instances"] == 1
+
+    def test_grid_dimensions_write_no_error_column(self, tmp_path):
+        """2-D and 3-D distances come from a deterministic grid, so neither
+        the row nor the pair file carries an error estimate."""
+        cfg = write_config(tmp_path, {"mode": "pigeonhole", "k": 2, "dimension": 3,
+                                      "instances": 1})
+        out = tmp_path / "out"
         assert main(["hardness", "--config", cfg, "--out", str(out)]) == 0
         (row,) = read_rows(out)
         exported = json.loads((out / "pair_0.json").read_text())
-        assert float(row["l1_error"]) == exported["l1_error"]
-        assert 0.0 < exported["l1_error"] < exported["l1_distance"]
-        cfg = write_config(tmp_path, {"mode": "decay", "h_values": [0.1]})
-        out = tmp_path / "decay"
-        assert main(["hardness", "--config", cfg, "--out", str(out)]) == 0
-        (row,) = read_rows(out)
-        assert row["l1_error"] == ""
-        assert json.loads((out / "pair_decay_0.json").read_text())["l1_error"] is None
+        assert "l1_error" not in row and "l1_error" not in exported
+        assert float(row["l1_distance"]) == exported["l1_distance"] > 0.0
 
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "interpolate"})
@@ -759,6 +761,7 @@ class TestHardnessCommand:
         ({"instances": 2}, "instances"),
         ({"mode": "pigeonhole", "h_values": [0.3]}, "h_values"),
         ({"mode": ["decay"]}, None),
+        ({"mode": "pigeonhole", "dimension": 2, "l1_samples": 1000}, "l1_samples"),
     ])
     def test_keys_of_the_other_mode_rejected(self, tmp_path, capsys, payload, unknown):
         """Each mode accepts only its own keys (plus mode, seed, out and
@@ -774,7 +777,7 @@ class TestHardnessCommand:
 
     @pytest.mark.parametrize("payload", [
         {"mode": "decay", "h_values": [0.5], "seed": 2, "trials": 3},
-        {"mode": "pigeonhole", "k": 2, "instances": 1, "l1_samples": 10, "seed": 2},
+        {"mode": "pigeonhole", "k": 2, "instances": 1, "seed": 2},
     ])
     def test_shared_keys_accepted_in_both_modes(self, tmp_path, payload):
         cfg = write_config(tmp_path, {**payload, "out": str(tmp_path / "out")})

@@ -1,7 +1,6 @@
 """Kernel interpolation, close mixture pairs, and the ICA embedding."""
 
 import collections
-import json
 import math
 import warnings
 
@@ -11,13 +10,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtr
 
 from poissonize import lowdim_hardness
-from poissonize.distributions import (
-    GmmParams,
-    SeededRng,
-    certified_tail_threshold,
-    gmm_pdf,
-    sample_gmm,
-)
+from poissonize.distributions import GmmParams, SeededRng, certified_tail_threshold
 from poissonize.lowdim_hardness import (
     DegeneratePairError,
     KernelConditioningError,
@@ -49,7 +42,7 @@ def equispaced(k):
     return ((2.0 * np.arange(1, k + 1) - 1.0) / (2 * k))[:, None]
 
 
-def eager_pigeonhole_pair(points, rng, l1_samples):
+def eager_pigeonhole_pair(points, rng):
     """Reference oracle for ``pigeonhole_pair``: every group's pair is built
     and measured in group order, then the first equal-count pair, or the
     crosswise combination of the first two pairs that share a count
@@ -65,7 +58,7 @@ def eager_pigeonhole_pair(points, rng, l1_samples):
             try:
                 x_set = PointSet(sub[:k], fill=compute_fill(PointSet(sub[:k]), resolution))
                 y_set = PointSet(sub[k:], fill=compute_fill(PointSet(sub[k:]), resolution))
-                built.append(build_close_pair(x_set, y_set, rng=rng, l1_samples=l1_samples))
+                built.append(build_close_pair(x_set, y_set))
             except (DegeneratePairError, KernelConditioningError, ValueError):
                 continue
         for pair in built:
@@ -75,8 +68,7 @@ def eager_pigeonhole_pair(points, rng, l1_samples):
         for pair in built:
             key = pair.p.m - pair.q.m
             if key in by_difference:
-                return lowdim_hardness._combine_pairs(
-                    by_difference[key], pair, rng=rng, l1_samples=l1_samples)
+                return lowdim_hardness._combine_pairs(by_difference[key], pair)
             by_difference[key] = pair
         order = rng.permutation(total)
     raise RuntimeError("no collision within the retry budget")
@@ -255,14 +247,10 @@ class TestBuildClosePair:
             one = build_close_pair(
                 PointSet(random_points(8, 1, rng)),
                 PointSet(random_points(8, 1, rng)),
-                rng=rng,
-                l1_samples=50_000,
             )
             two = build_close_pair(
                 PointSet(random_points(8, 2, rng)),
                 PointSet(random_points(8, 2, rng)),
-                rng=rng,
-                l1_samples=50_000,
             )
             assert two.l1_distance > one.l1_distance
 
@@ -334,10 +322,10 @@ class TestL1Distance:
 
     def test_identical_mixtures(self):
         p = GmmParams(np.array([[0.2, 0.8]]), np.array([0.5, 0.5]), np.eye(1))
-        assert l1_distance(p, p)[0] == pytest.approx(0.0, abs=1e-10)
+        assert l1_distance(p, p) == pytest.approx(0.0, abs=1e-10)
 
     def test_unit_separation_closed_form(self):
-        got, _ = l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0]))
+        got = l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0]))
         expected = 2.0 * (2.0 * float(ndtr(0.5)) - 1.0)
         assert got == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.76585, abs=1e-5)
@@ -345,7 +333,7 @@ class TestL1Distance:
     def test_distant_mixtures_approach_total_mass(self):
         """Means 7 apart: the range reaches 8 standard deviations past both,
         so the value nears the true distance 2(2 Phi(3.5) - 1)."""
-        value, _ = l1_distance(unit_gaussian([0.0]), unit_gaussian([7.0]))
+        value = l1_distance(unit_gaussian([0.0]), unit_gaussian([7.0]))
         assert value > 1.95
 
     def test_wide_components_closed_form(self):
@@ -354,61 +342,67 @@ class TestL1Distance:
         p = GmmParams(np.array([[0.0]]), np.array([1.0]), np.array([[9.0]]))
         q = GmmParams(np.array([[3.0]]), np.array([1.0]), np.array([[9.0]]))
         expected = 2.0 * (2.0 * float(ndtr(3.0 / (2.0 * 3.0))) - 1.0)
-        assert l1_distance(p, q)[0] == pytest.approx(expected, abs=1e-9)
+        assert l1_distance(p, q) == pytest.approx(expected, abs=1e-9)
 
-    def test_monte_carlo_matches_quadrature(self):
-        """Unit Gaussians at distance 1 in 2-D are as far apart in L1 as in
-        1-D: the 2-D Monte Carlo estimate matches the closed form
-        2(2 Phi(1/2) - 1), which the 1-D quadrature reproduces."""
+    def test_grid_matches_closed_form(self):
+        """Unit Gaussians at distance 1 are as far apart in L1 in every
+        dimension, 2(2 Phi(1/2) - 1): the 1-D quadrature reproduces it, and
+        the 2-D and 3-D grids come within 2e-3 relative (the kink of |p - q|
+        on the bisecting plane makes their error O(h^2))."""
         expected = 2.0 * (2.0 * float(ndtr(0.5)) - 1.0)
-        assert l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0]))[0] == pytest.approx(
+        assert l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0])) == pytest.approx(
             expected, abs=1e-9
         )
-        p, q = unit_gaussian([0.0, 0.0]), unit_gaussian([1.0, 0.0])
-        mc, _ = l1_distance(p, q, rng=SeededRng(7), samples=200_000)
-        assert mc == pytest.approx(expected, abs=0.01)
+        for n in (2, 3):
+            shift = np.zeros(n)
+            shift[0] = 1.0
+            got = l1_distance(unit_gaussian(np.zeros(n)), unit_gaussian(shift))
+            assert got == pytest.approx(expected, rel=2e-3)
 
-    def test_monte_carlo_needs_rng(self):
-        p = unit_gaussian([0.0, 0.0])
-        with pytest.raises(ValueError):
-            l1_distance(p, p)
-
-    @pytest.mark.parametrize("samples", [0, 1])
-    def test_monte_carlo_needs_two_samples(self, samples):
-        """The error estimate needs two draws; fewer is refused by name."""
-        p, q = unit_gaussian([0.0, 0.0]), unit_gaussian([1.0, 0.0])
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            l1_distance(p, q, rng=SeededRng(1), samples=samples)
+    def test_grid_matches_a_finer_grid_on_pigeonhole_pairs(self):
+        """The pairs pigeonhole returns in 2-D at k = 3 and 5, seeds
+        1000-1005, against an independent midpoint rule of spacing 0.02
+        over 10 standard deviations past every center."""
+        for k in (3, 5):
+            for seed in range(1000, 1006):
+                rng = SeededRng(seed)
+                pair = pigeonhole_pair(random_points(4 * k * k, 2, rng), rng)
+                assert pair.l1_distance == pytest.approx(fine_grid_l1(pair), rel=2e-4)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             l1_distance(unit_gaussian([0.0]), unit_gaussian([0.0, 0.0]))
 
-    def test_monte_carlo_standard_error(self):
-        """The estimate comes with the standard error of its own draws: the
-        sample standard deviation of the importance ratios over sqrt(N),
-        recomputed here from the same draws."""
-        p = GmmParams(np.array([[0.0, 0.4], [0.0, 0.3]]), np.array([0.3, 0.7]), np.eye(2))
-        q = unit_gaussian([0.5, 0.0])
-        samples = 1001
-        gap, error = l1_distance(p, q, rng=SeededRng(9), samples=samples)
-        rng = SeededRng(9)
-        x = np.vstack([sample_gmm(p, 500, rng), sample_gmm(q, 501, rng)])
-        ratios = [2.0 * abs(a - b) / (a + b) for a, b in zip(gmm_pdf(p, x), gmm_pdf(q, x))]
-        mean = math.fsum(ratios) / samples
-        spread = math.sqrt(math.fsum((r - mean) ** 2 for r in ratios) / (samples - 1))
-        assert gap == pytest.approx(mean, rel=1e-12)
-        assert error == pytest.approx(spread / math.sqrt(samples), rel=1e-9)
-        assert 0.0 < error < 0.1 * gap
+    def test_dimension_four_refused_before_any_density(self, monkeypatch):
+        calls = counting(monkeypatch, "gmm_pdf")
+        p, q = unit_gaussian(np.zeros(4)), unit_gaussian(np.ones(4))
+        with pytest.raises(ValueError, match="dimensions 1 to 3, got 4"):
+            l1_distance(p, q)
+        assert calls["gmm_pdf"] == 0
 
     def test_quadrature_has_no_standard_error(self):
-        assert l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0]))[1] is None
+        """The distance is one float in every dimension, with no error
+        estimate beside it."""
+        assert isinstance(l1_distance(unit_gaussian([0.0]), unit_gaussian([1.0])), float)
+        assert isinstance(l1_distance(unit_gaussian([0.0, 0.0]), unit_gaussian([1.0, 0.0])),
+                          float)
 
-    def test_unreliable_monte_carlo_warns(self):
-        p = unit_gaussian([0.0, 0.0])
-        q = unit_gaussian([0.05, 0.0])
-        with pytest.warns(RuntimeWarning):
-            l1_distance(p, q, rng=SeededRng(6), samples=4)
+
+def fine_grid_l1(pair, spacing=0.02, margin=10.0):
+    """Midpoint rule for the L1 distance of a 2-D pair of unit-covariance
+    mixtures, with its own Gaussian density and cell-centered grid."""
+    centers = np.hstack([pair.p.means, pair.q.means])
+    xs, ys = (np.arange(lo - margin, hi + margin, spacing) + 0.5 * spacing
+              for lo, hi in zip(centers.min(axis=1), centers.max(axis=1)))
+    total = 0.0
+    for start in range(0, xs.size, 64):
+        x = xs[start:start + 64, None]
+        gap = 0.0
+        for gmm, sign in ((pair.p, 1.0), (pair.q, -1.0)):
+            for (cx, cy), w in zip(gmm.means.T, gmm.weights):
+                gap = gap + sign * w * np.exp(-0.5 * ((x - cx) ** 2 + (ys - cy) ** 2))
+        total += float(np.abs(gap).sum())
+    return total * spacing**2 / (2.0 * math.pi)
 
 
 class TestEquispacedInterleaved:
@@ -435,21 +429,19 @@ class TestPigeonholePair:
     @pytest.mark.parametrize("dimension", [1, 2, 3])
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_same_bytes_as_eager_selection(self, dimension, k, monkeypatch):
-        """Measuring only the returned pair, and passing over the others'
-        draws, exports the bytes of measuring every group first; the seeds
-        reach the direct return and the combination."""
+        """Measuring only the returned pair exports the bytes of measuring
+        every group first; the seeds reach the direct return and the
+        combination."""
         cases = [0, 1, 2] + [s for d, kk, s in COMBINING if (d, kk) == (dimension, k)]
         for seed in cases:
             rng = SeededRng(7 * seed + dimension)
             points = random_points(4 * k * k, dimension, rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                want = pair_to_json(eager_pigeonhole_pair(points, rng, 2000))
+            want = pair_to_json(eager_pigeonhole_pair(points, rng))
             with monkeypatch.context() as patch:
                 calls = counting(patch, "_combine_pairs")
                 rng = SeededRng(7 * seed + dimension)
                 random_points(4 * k * k, dimension, rng)
-                got = pair_to_json(pigeonhole_pair(points, rng, l1_samples=2000))
+                got = pair_to_json(pigeonhole_pair(points, rng))
             assert got == want
             assert calls["_combine_pairs"] == ((dimension, k, seed) in COMBINING)
 
@@ -459,10 +451,10 @@ class TestPigeonholePair:
         reshuffled points, with the same bytes as the eager selection."""
         rng = SeededRng(300 + dimension)
         points = first_round_fails(random_points(4 * k * k, dimension, rng), k)
-        want = pair_to_json(eager_pigeonhole_pair(points, SeededRng(5), 2000))
+        want = pair_to_json(eager_pigeonhole_pair(points, SeededRng(5)))
         with monkeypatch.context() as patch:
             calls = counting(patch, "_unmeasured_pair")
-            got = pair_to_json(pigeonhole_pair(points, SeededRng(5), l1_samples=2000))
+            got = pair_to_json(pigeonhole_pair(points, SeededRng(5)))
         assert got == want
         assert calls["_unmeasured_pair"] > 2 * k
 
@@ -473,7 +465,7 @@ class TestPigeonholePair:
         rng = SeededRng(7 * seed + dimension)
         points = random_points(4 * k * k, dimension, rng)
         calls = counting(monkeypatch, "l1_distance")
-        pigeonhole_pair(points, rng, l1_samples=2000)
+        pigeonhole_pair(points, rng)
         assert calls["l1_distance"] == 1
 
     def test_equal_component_counts(self):
@@ -490,6 +482,15 @@ class TestPigeonholePair:
             pigeonhole_pair(random_points(12, 1, rng), rng)
         with pytest.raises(ValueError):
             pigeonhole_pair(random_points(4, 1, rng), rng)
+
+    def test_dimension_four_refused_before_any_build(self, monkeypatch):
+        """The L1 distance stops at 3-D, so a 4-D instance is refused before
+        any group is interpolated."""
+        calls = counting(monkeypatch, "compute_fill", "_unmeasured_pair")
+        rng = SeededRng(1)
+        with pytest.raises(ValueError, match="dimensions 1 to 3, got 4"):
+            pigeonhole_pair(random_points(16, 4, rng), rng)
+        assert sum(calls.values()) == 0
 
 
 class TestEmbedAsIca:
@@ -538,16 +539,6 @@ class TestEmbedAsIca:
 
 
 class TestPairJson:
-    def test_l1_error_recorded(self):
-        """The pair carries its measurement's standard error: a number in
-        2-D, None in 1-D, where the distance comes from quadrature."""
-        rng = SeededRng(15)
-        pair = pigeonhole_pair(random_points(36, 2, rng), rng, l1_samples=2000)
-        exported = json.loads(pair_to_json(pair))
-        assert exported["l1_error"] == pair.l1_error
-        assert 0.0 < exported["l1_error"] < exported["l1_distance"]
-        assert build_close_pair(*equispaced_interleaved(0.1)).l1_error is None
-
     def test_output_is_deterministic(self):
         """Two pairs built from the same seed export to the same bytes."""
 
