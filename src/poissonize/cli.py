@@ -301,8 +301,8 @@ def _cmd_learn(config, out_dir):
     root = SeededRng(seed)
 
     def run_trial(trial):
-        """One trial's record row, its seconds, and its failure reason if it
-        raised one of the modeled errors (else None)."""
+        """One trial's record row, its seconds, its failure reason if it
+        raised one of the modeled errors (else None), and its diagnostics."""
         rng = root.derive(trial)
         if fixed_gmm is not None:
             gmm = fixed_gmm
@@ -324,7 +324,7 @@ def _cmd_learn(config, out_dir):
             "tv_gap": None, "lam": None, "tau": None, "eigengap": None,
             "samples_used": 0,
         }
-        error = None
+        error, diag = None, {}
         try:
             report = learn_means(
                 gmm, gmm.m, d, delta, rng, samples,
@@ -346,7 +346,7 @@ def _cmd_learn(config, out_dir):
         except (FeasibilityError, IllConditionedError, DegenerateModelError) as exc:
             error = f"{type(exc).__name__}: {exc}"
             row.update(failed=True, reason=error)
-        return row, time.perf_counter() - started, error
+        return row, time.perf_counter() - started, error, diag
 
     # imported here, so that the other commands do not load the thread pool
     from concurrent.futures import ThreadPoolExecutor
@@ -363,7 +363,7 @@ def _cmd_learn(config, out_dir):
     with pinned, ThreadPoolExecutor(workers) as pool:
         # map yields in trial order and cancels the pending trials when one
         # raises
-        records, timings, errors = zip(*pool.map(run_trial, range(trials)))
+        records, timings, errors, diags = zip(*pool.map(run_trial, range(trials)))
     errors = [error for error in errors if error is not None]
     status = 2 if any(row["failed"] for row in records) else 0
 
@@ -374,6 +374,8 @@ def _cmd_learn(config, out_dir):
         "aligned_errors": aligned,
         "median_aligned_error": float(np.median(aligned)) if aligned else None,
         "trial_seconds": list(timings),
+        "largest_counts": [diag.get("largest_count") for diag in diags],
+        "zero_count_shares": [diag.get("zero_count_share") for diag in diags],
         "errors": errors,
         "workers": workers,
         "blas_threads": 1 if workers > 1 else None,

@@ -1,17 +1,21 @@
 """Empirical and analytic cumulants of flattened higher-order tensors.
 
 The estimator runs in one streaming pass: mixed raw moments are accumulated
-for every sorted index multiset up to the requested order, as one matrix
-product per row tile of the monomials of about half that degree (with
-compensated summation across tiles).  Joint cumulants are then assembled by
-the moment-to-cumulant recursion over sub-multisets (P. J. Smith, Am.
-Statist. 49(2), 1995; McCullagh, Tensor Methods in Statistics, 1987, ch.
-2-3), one order at a time for all multisets of that order at once, with
-each multiset's float operations in the recursion's own order, so the
-values have the same bits as a one-multiset-at-a-time walk.  They are read
-back at every index permutation, which makes the flattened output symmetric
-by construction.  Tensors are flattened in row-major order (see
-:mod:`poissonize.tensor_linalg`).
+for every sorted index multiset up to the requested order, as a product per
+row tile of the monomials of about half that degree, split by degree so that
+only the entries some multiset reads are formed (with compensated summation
+across tiles).  When the last coordinate is an exact count, as the
+repetition count R of a Poissonized row is, the rows are grouped by its
+value: each group accumulates the monomials of the other coordinates alone,
+and the lifted sums are one exact linear map of the per-count sums.  Joint
+cumulants are then assembled by the moment-to-cumulant recursion over
+sub-multisets (P. J. Smith, Am. Statist. 49(2), 1995; McCullagh, Tensor
+Methods in Statistics, 1987, ch. 2-3), one order at a time for all
+multisets of that order at once, with each multiset's float operations in
+the recursion's own order, so the values have the same bits as a
+one-multiset-at-a-time walk.  They are read back at every index
+permutation, which makes the flattened output symmetric by construction.
+Tensors are flattened in row-major order (see :mod:`poissonize.tensor_linalg`).
 
 Chunks are shifted by a fixed vector (usually the first chunk's mean) before
 accumulation.  Cumulants of order >= 2 are invariant under any constant
@@ -38,6 +42,8 @@ __all__ = [
 _MAX_JOINT_ORDER = 8
 # scratch entries of one row tile (4 MB): rows per tile = this // monomials
 _TILE_ENTRIES = 2**19
+# the largest count value accepted: every integer up to it is a float
+_MAX_COUNT = 2**53
 
 
 @dataclass
@@ -82,17 +88,32 @@ class MomentAccumulator:
     nondecreasing index tuple (i_1 <= ... <= i_k), k = 1..order, in a single
     pass over chunks.  Per row tile, the monomials of degree <= order -
     order // 2 (the constant 1 included) are the rows of one array P, and
-    ``P[:low] @ P.T``, over the rows of degree <= order // 2, holds every
-    sum: each key reads the entry that its index tuple splits into.
-    A tile holds as many rows as fit 2**19 monomial entries (4 MB of
-    scratch), and is shifted on its own, so ``update`` allocates no copy of
-    the whole chunk.  Per-entry Kahan compensation across tiles keeps the
-    sums independent of how the rows are split into chunks, to rounding;
-    their last bits depend on the tile size, the BLAS build and its thread
-    count.
+    every sum is an entry of a product of P's rows with themselves: each
+    key's index tuple splits into a half of degree at most order // 2 and a
+    half of one degree more at most.  The product is taken in two parts that
+    hold every such entry: the rows of degree order // 2 against the rows of
+    at least that degree, and the lower rows against the rows of at most
+    that degree.  A tile holds as many rows as fit 2**19 monomial entries (4
+    MB of scratch) and is shifted on its own, so ``update`` allocates no
+    copy of the whole chunk.  Per-entry Kahan compensation across tiles
+    keeps the sums independent of how the rows are split into chunks, to
+    rounding; their last bits depend on the tile size, the BLAS build and
+    its thread count.
+
+    With ``count_last`` the last coordinate is an exact count R, such as
+    the Poisson repetition count of a lifted row, and must hold nonnegative
+    integers (else ``update`` raises ValueError before any sum moves).  The
+    rows are then grouped by R through a stable sort of the chunk's counts,
+    each tile's rows are gathered into the scratch, and the tiles of each
+    group accumulate the monomial sums S_r of the other coordinates alone,
+    up to the full order (S_r of the empty monomial is the group's row
+    count).
+    ``sums`` is their exact linear image: the key of monomial alpha of the
+    other coordinates times the count coordinate j times holds sum_r (r -
+    shift[-1])**j S_r[alpha].
     """
 
-    def __init__(self, dim, order, shift=None):
+    def __init__(self, dim, order, shift=None, count_last=False):
         self.dim = int(dim)
         self.order = int(order)
         if self.dim < 1 or self.order < 1:
@@ -104,37 +125,56 @@ class MomentAccumulator:
         self.shift = np.asarray(shift, dtype=float).copy()
         if self.shift.shape != (self.dim,):
             raise ValueError("shift must have one entry per coordinate")
-        self.keys = [
-            key
-            for k in range(1, self.order + 1)
-            for key in combinations_with_replacement(range(self.dim), k)
-        ]
+        self.count_last = bool(count_last)
+        self.keys = _sorted_keys(self.dim, self.order)
         self.position = {key: idx for idx, key in enumerate(self.keys)}
         self.sums = np.zeros(len(self.keys))
-        self.comps = np.zeros(len(self.keys))
         self.count = 0
+
+        # the coordinates that the tiles multiply, and the sums they hold
+        self._free = self.dim - self.count_last
+        if self.count_last:
+            targets = [()] + _sorted_keys(self._free, self.order)
+            where = {key: idx for idx, key in enumerate(targets)}
+            self._power = np.array([key.count(self._free) for key in self.keys])
+            self._alpha = np.array([where[key[: len(key) - j]]
+                                    for key, j in zip(self.keys, self._power)])
+            self._per_count = {}  # r -> (sums, compensations) over targets
+        else:
+            targets = self.keys
+            self._comps = np.zeros(len(self.keys))
 
         # monomials of degree <= order - order // 2 in colex order: within
         # degree k, those ending in coordinate i are the degree k - 1 ones
         # ending at or below i (a prefix of that block) times z_i, so each is
-        # one row-block multiply, recorded as (src, stop, i, dst)
+        # one row-block multiply, recorded as (src, stop, i, dst).  Degree 1
+        # is the shifted tile itself.
         low_degree = self.order // 2
-        monomials = [()]
-        block = [()]
+        monomials = [()] + [(i,) for i in range(self._free)]
+        block = monomials[1:]
         self._steps = []
-        for _ in range(self.order - low_degree):
+        for _ in range(1, self.order - low_degree):
             src, grown = len(monomials) - len(block), []
-            for i in range(self.dim):
-                prefix = [m for m in block if not m or m[-1] <= i]
+            for i in range(self._free):
+                prefix = [m for m in block if m[-1] <= i]
                 self._steps.append((src, src + len(prefix), i, len(monomials) + len(grown)))
                 grown += [m + (i,) for m in prefix]
             monomials += grown
             block = grown
         row_of = {m: r for r, m in enumerate(monomials)}
         self._monomials = len(monomials)
+        # P's rows of degree below order // 2, and of at most order // 2
+        self._below = sum(len(m) < low_degree for m in monomials)
         self._low = sum(len(m) <= low_degree for m in monomials)
-        self._rows = np.array([row_of[key[: len(key) // 2]] for key in self.keys])
-        self._cols = np.array([row_of[key[len(key) // 2 :]] for key in self.keys])
+        self._top = (self._low - self._below) * (self._monomials - self._below)
+        self._products = self._top + self._below * self._low
+        rows = np.array([row_of[key[: len(key) // 2]] for key in targets])
+        cols = np.array([row_of[key[len(key) // 2 :]] for key in targets])
+        self._gather = np.where(
+            rows >= self._below,
+            (rows - self._below) * (self._monomials - self._below) + cols - self._below,
+            self._top + rows * self._low + cols,
+        )
         self._tile = max(1, _TILE_ENTRIES // self._monomials)
 
         # one exact integer code per key, increasing along ``keys``: the
@@ -155,19 +195,61 @@ class MomentAccumulator:
         c = chunk.shape[0]
         if c == 0:
             return
-        scratch = np.empty(self._monomials * min(c, self._tile))
-        for start in range(0, c, self._tile):
-            zt = np.subtract(chunk[start : start + self._tile].T, self.shift[:, None], order="C")
-            p = scratch[: self._monomials * zt.shape[1]].reshape(self._monomials, -1)
-            p[0] = 1.0
-            for src, stop, i, dst in self._steps:
-                np.multiply(p[src:stop], zt[i], out=p[dst : dst + stop - src])
-            tile_sums = (p[: self._low] @ p.T)[self._rows, self._cols]
-            y = tile_sums - self.comps
-            t = self.sums + y
-            self.comps[:] = (t - self.sums) - y
-            self.sums[:] = t
+        tile_rows = min(c, self._tile)
+        if not self.count_last:
+            scratch = np.empty(self._monomials * tile_rows + self._products)
+            for start in range(0, c, self._tile):
+                tile = chunk[start : start + self._tile].T
+                _add_compensated(self.sums, self._comps, self._tile_sums(tile, scratch))
+            self.count += c
+            return
+
+        order, values, bounds = _count_groups(chunk[:, -1])
+        scratch = np.empty((self._monomials + self.dim) * tile_rows + self._products)
+        gathered = scratch[-self.dim * tile_rows :].reshape(tile_rows, self.dim)
+        for r, start, stop in zip(values, bounds[:-1], bounds[1:]):
+            if r not in self._per_count:
+                self._per_count[r] = np.zeros((2, len(self._gather)))
+            totals, comps = self._per_count[r]
+            for first in range(start, stop, self._tile):
+                rows = order[first : min(first + self._tile, stop)]
+                # every index is valid; "clip" lets take write into out unbuffered
+                tile = np.take(chunk, rows, axis=0, out=gathered[: len(rows)], mode="clip")
+                _add_compensated(totals, comps, self._tile_sums(tile[:, : self._free].T, scratch))
         self.count += c
+        self.sums = self._lifted_sums()
+
+    def _tile_sums(self, columns, scratch):
+        """The target sums of one tile, given as its unshifted ``columns``
+        (one row per multiplied coordinate)."""
+        t = columns.shape[1]
+        p = scratch[: self._monomials * t].reshape(self._monomials, t)
+        p[0] = 1.0
+        z = p[1 : 1 + self._free]
+        np.subtract(columns, self.shift[: self._free, None], out=z)
+        for src, stop, i, dst in self._steps:
+            np.multiply(p[src:stop], z[i], out=p[dst : dst + stop - src])
+        out = scratch[self._monomials * t : self._monomials * t + self._products]
+        below, low, top = self._below, self._low, self._top
+        upper = out[:top].reshape(low - below, self._monomials - below)
+        np.matmul(p[below:low], p[below:].T, out=upper)
+        np.matmul(p[:below], p[:low].T, out=out[top : self._products].reshape(below, low))
+        return out[self._gather]
+
+    def _lifted_sums(self):
+        """The key sums from the per-count sums, in increasing count."""
+        counts = sorted(self._per_count)
+        totals = np.array([self._per_count[r][0] for r in counts])
+        powers = (np.array(counts, dtype=float) - self.shift[-1])[:, None] ** np.arange(
+            self.order + 1)
+        return (powers[:, self._power] * totals[:, self._alpha]).sum(axis=0)
+
+    def rows_per_count(self):
+        """Rows accumulated at each count value r, as {r: rows} in increasing
+        r (count mode only)."""
+        if not self.count_last:
+            raise ValueError("rows per count need count_last")
+        return {r: int(self._per_count[r][0][0]) for r in sorted(self._per_count)}
 
     def moment(self, indices):
         """Mean of the monomial for a 0-based index tuple (any order)."""
@@ -185,6 +267,38 @@ class MomentAccumulator:
         rank = np.cumsum(chosen, axis=1) - chosen
         weights = np.where(chosen, self._weights[1 + rank], 0)
         return weights @ digits.T + self._weights[0] * chosen.sum(axis=1)[:, None]
+
+
+def _sorted_keys(dim, order):
+    """Every nondecreasing tuple over 0..dim-1 of length 1..order, by length."""
+    return [
+        key
+        for k in range(1, order + 1)
+        for key in combinations_with_replacement(range(dim), k)
+    ]
+
+
+def _add_compensated(sums, comps, values):
+    """Kahan-add ``values`` into ``sums`` in place, with ``comps`` carrying
+    each entry's lost low-order part."""
+    y = values - comps
+    t = sums + y
+    comps[:] = (t - sums) - y
+    sums[:] = t
+
+
+def _count_groups(counts):
+    """The rows of ``counts`` in a stable sort by count, each count value
+    that occurs, and the bounds of its run in that order.  Anything but
+    nonnegative integers up to 2**53 is a ValueError."""
+    if 0 <= counts.min() <= counts.max() <= _MAX_COUNT:
+        small = counts.astype(np.min_scalar_type(int(counts.max())))
+        if np.array_equal(small, counts):
+            order = np.argsort(small, kind="stable")
+            grouped = small[order]
+            starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+            return order, grouped[starts].tolist(), [*starts.tolist(), len(counts)]
+    raise ValueError("the count coordinate must hold nonnegative integers")
 
 
 def _coordinates(indices, dim):

@@ -212,7 +212,8 @@ def learn_means(
             block = sample_approx_ica_batch(
                 source, params.lam, params.tau, rng, min(chunk, samples - start))
             if acc is None:
-                acc = MomentAccumulator(block.shape[1], d + 1, shift=block.mean(axis=0))
+                acc = MomentAccumulator(
+                    block.shape[1], d + 1, shift=block.mean(axis=0), count_last=True)
             acc.update(block)
             del block  # so the next block is drawn without this one alive
     except SubroutineFailure as failure:
@@ -227,6 +228,9 @@ def learn_means(
             diagnostics=diagnostics,
         )
 
+    rows = acc.rows_per_count()
+    diagnostics["largest_count"] = max(rows)
+    diagnostics["zero_count_share"] = rows.get(0, 0) / acc.count
     m0 = assemble_flat_cumulant(acc, d).as_matrix()
     k_next = assemble_flat_cumulant(acc, d + 1).data
     flat_weights = assemble_flat_cumulant(acc, _WEIGHT_ORDER) if with_weights else None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_linalg import khatri_rao, multilinear_kr_square, sigma_min
+from .tensor_linalg import multilinear_kr_square, sigma_min
 
 __all__ = [
     "FAMILIES",
@@ -91,8 +91,12 @@ def smoothed_trial(base, sigma, rng, family="custom"):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     perturbed = base + sigma * rng.standard_normal(base.shape)
-    kr2 = float(sigma_min(multilinear_kr_square(perturbed)))
-    odot2 = float(sigma_min(khatri_rao(perturbed, perturbed)))
+    square = multilinear_kr_square(perturbed)
+    kr2 = float(sigma_min(square))
+    # the full square's rows are the products a_i a_j over ordered pairs, so
+    # its Gram matrix is that of the diagonal products and sqrt(2) times each
+    # unordered pair, n (n + 1) / 2 rows instead of n**2
+    odot2 = float(sigma_min(np.vstack([perturbed * perturbed, math.sqrt(2.0) * square])))
     bound = sigma * sigma / float(n) ** 7
     return SmoothedTrial(
         family=family,

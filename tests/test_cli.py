@@ -95,6 +95,25 @@ class TestLearnCommand:
         main(["learn", "--config", cfg, "--out", str(second)])
         assert (first / "records.csv").read_bytes() == (second / "records.csv").read_bytes()
 
+    def test_summary_reports_the_counts_each_trial_saw(self, tmp_path):
+        """``largest_counts`` and ``zero_count_shares`` hold one entry per
+        trial, null for an aborted one, and stay out of records.csv."""
+        cfg = write_config(tmp_path, TOY_LEARN)
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert len(summary["largest_counts"]) == len(summary["zero_count_shares"]) == 2
+        for largest, share in zip(summary["largest_counts"], summary["zero_count_shares"]):
+            assert isinstance(largest, int) and 2 <= largest <= TOY_LEARN["tau"]
+            # R = 0 has probability exp(-2) at lambda = m = 2
+            assert share == pytest.approx(math.exp(-2.0), abs=0.02)
+        assert not {"largest_counts", "zero_count_shares"} & set(read_rows(out)[0])
+        aborted = tmp_path / "aborted"
+        cfg = write_config(tmp_path, {**TOY_LEARN, "tau": 6, "samples": 5_000, "trials": 1})
+        assert main(["learn", "--config", cfg, "--out", str(aborted)]) == 2
+        summary = read_summary(aborted)
+        assert summary["largest_counts"] == summary["zero_count_shares"] == [None]
+
     def test_truncation_abort_exits_two(self, tmp_path):
         cfg = write_config(
             tmp_path, {**TOY_LEARN, "tau": 6, "samples": 5_000, "trials": 1}

@@ -20,7 +20,8 @@ from poissonize.cumulants import (
     analytic_ica_cumulant,
     assemble_flat_cumulant,
 )
-from poissonize.distributions import SeededRng
+from poissonize.distributions import GmmParams, SeededRng, sample_gmm
+from poissonize.poissonization import MixtureSource, sample_approx_ica_batch
 
 from _oracles import poisson_moment, raw_moments_to_cumulants
 
@@ -180,6 +181,66 @@ class TestEmpiricalCumulant:
             streamed_cumulant(np.ones(100), 9)
 
 
+# row tiles of 2**19 // monomials rows: 4369 at (7, 5) and 4161 at (5, 7),
+# or in count mode 6241 and 7489 per count value, so the tile boundaries fall
+# inside chunks
+TILED_CASES = [
+    (7, 5, 20_000, (0, 5_000, 5_000, 18_001, 20_000)),
+    (5, 7, 19_000, (0, 7_000, 16_000, 19_000)),
+    # the order cap on one coordinate, and order 1 (only the constant on the
+    # low side of the product), with empty chunks in between
+    (1, 8, 1_000, (0, 0, 400, 1_000, 1_000)),
+    (3, 1, 1_000, (0, 300, 300, 1_000)),
+]
+
+
+def poisson_rows(rng, rows, dim, count_last):
+    """Standard normal rows with one Poisson(1.5) column, first or last."""
+    data = rng.standard_normal((rows, dim))
+    data[:, -1 if count_last else 0] = rng.poisson(1.5, size=rows)
+    return data
+
+
+def check_independent_of_chunking(seed, dim, rows, cuts, count_last):
+    rng = SeededRng(seed)
+    data = poisson_rows(rng, rows, dim, count_last)
+    shift = data.mean(axis=0)
+    whole = MomentAccumulator(dim, 5, shift=shift, count_last=count_last)
+    whole.update(data)
+    pieces = MomentAccumulator(dim, 5, shift=shift, count_last=count_last)
+    bounds = [0, *sorted(int(c * rows) for c in cuts), rows]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        pieces.update(data[start:stop])
+    assert pieces.count == whole.count == rows
+    z = np.abs(data - shift)
+    scale = {ell: float((z**ell).mean(axis=0).max()) for ell in range(1, 6)}
+    for key in whole.keys:
+        gap = abs(whole.moment(key) - pieces.moment(key))
+        assert gap <= 1e-12 * scale[len(key)]
+    for ell in (3, 4, 5):
+        gap = np.abs(assemble_flat_cumulant(whole, ell).data
+                     - assemble_flat_cumulant(pieces, ell).data).max()
+        assert gap <= 1e-12 * scale[ell]
+
+
+def check_tiled_sums(dim, order, rows, bounds, count_last):
+    rng = SeededRng(dim * 10 + order)
+    data = poisson_rows(rng, rows, dim, count_last)
+    shift = data[:1000].mean(axis=0)
+    acc = MomentAccumulator(dim, order, shift=shift, count_last=count_last)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        acc.update(data[start:stop])
+    assert acc.count == rows
+    z = data - shift
+    for key, total in zip(acc.keys, acc.sums):
+        products = z[:, key[0]].copy()
+        for i in key[1:]:
+            products *= z[:, i]
+        want = math.fsum(products.tolist())
+        scale = np.abs(products).sum()
+        assert abs(total - want) <= 1e-12 * scale
+
+
 class TestMomentAccumulator:
     def test_moment_matches_direct_mean(self):
         rng = SeededRng(7)
@@ -221,57 +282,31 @@ class TestMomentAccumulator:
         """The same rows split into any chunks, empty ones included, give
         the same moments and order-3..5 cumulants, within 1e-12 of the
         largest coordinate's ell-th absolute central moment."""
-        rng = SeededRng(seed)
-        data = rng.standard_normal((rows, dim))
-        data[:, 0] = rng.poisson(1.5, size=rows)
-        shift = data.mean(axis=0)
-        whole = MomentAccumulator(dim, 5, shift=shift)
-        whole.update(data)
-        pieces = MomentAccumulator(dim, 5, shift=shift)
-        bounds = [0, *sorted(int(c * rows) for c in cuts), rows]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            pieces.update(data[start:stop])
-        assert pieces.count == whole.count == rows
-        z = np.abs(data - shift)
-        scale = {ell: float((z**ell).mean(axis=0).max()) for ell in range(1, 6)}
-        for key in whole.keys:
-            gap = abs(whole.moment(key) - pieces.moment(key))
-            assert gap <= 1e-12 * scale[len(key)]
-        for ell in (3, 4, 5):
-            gap = np.abs(assemble_flat_cumulant(whole, ell).data
-                         - assemble_flat_cumulant(pieces, ell).data).max()
-            assert gap <= 1e-12 * scale[ell]
+        check_independent_of_chunking(seed, dim, rows, cuts, count_last=False)
 
-    @pytest.mark.parametrize("dim, order, rows, bounds", [
-        # row tiles of 2**19 // monomials rows: 4369 at (7, 5), 4161 at
-        # (5, 7), so about 4.6 tiles whose boundaries fall inside chunks
-        (7, 5, 20_000, (0, 5_000, 5_000, 18_001, 20_000)),
-        (5, 7, 19_000, (0, 7_000, 16_000, 19_000)),
-        # the order cap on one coordinate, and order 1 (only the constant
-        # on the low side of the product), with empty chunks in between
-        (1, 8, 1_000, (0, 0, 400, 1_000, 1_000)),
-        (3, 1, 1_000, (0, 300, 300, 1_000)),
-    ])
+    @given(
+        seed=st.integers(0, 2**16),
+        dim=st.integers(min_value=1, max_value=3),
+        rows=st.integers(min_value=2, max_value=300),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_count_mode_independent_of_chunking(self, seed, dim, rows, cuts):
+        """The same check with the Poisson column last, in count mode."""
+        check_independent_of_chunking(seed, dim, rows, cuts, count_last=True)
+
+    @pytest.mark.parametrize("dim, order, rows, bounds", TILED_CASES)
     def test_tiled_sums_match_brute_force(self, dim, order, rows, bounds):
         """Every monomial sum, fed in chunks that split row tiles, is within
         1e-12 of its ``math.fsum`` over the per-row products, relative to the
         sum of their absolute values."""
-        rng = SeededRng(dim * 10 + order)
-        data = rng.standard_normal((rows, dim))
-        data[:, 0] = rng.poisson(1.5, size=rows)
-        shift = data[:1000].mean(axis=0)
-        acc = MomentAccumulator(dim, order, shift=shift)
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            acc.update(data[start:stop])
-        assert acc.count == rows
-        z = data - shift
-        for key, total in zip(acc.keys, acc.sums):
-            products = z[:, key[0]].copy()
-            for i in key[1:]:
-                products *= z[:, i]
-            want = math.fsum(products.tolist())
-            scale = np.abs(products).sum()
-            assert abs(total - want) <= 1e-12 * scale
+        check_tiled_sums(dim, order, rows, bounds, count_last=False)
+
+    @pytest.mark.parametrize("dim, order, rows, bounds", TILED_CASES)
+    def test_count_mode_tiled_sums_match_brute_force(self, dim, order, rows, bounds):
+        """The same check with the Poisson column last, in count mode: the
+        tiles of each count value split across chunks too."""
+        check_tiled_sums(dim, order, rows, bounds, count_last=True)
 
     @pytest.mark.parametrize("indices", [(3,), (-1,), (0.5,), ()])
     def test_bad_index_rejected(self, indices):
@@ -281,6 +316,74 @@ class TestMomentAccumulator:
         acc.update(np.eye(3))
         with pytest.raises(ValueError):
             acc.moment(indices)
+
+
+def lifted_rows(n, black_box, rows=30_000, seed=5):
+    """Poissonized rows (x, R) of a three-component mixture in R^n, drawn
+    directly from the GmmParams or through the black-box MixtureSource."""
+    rng = SeededRng(seed)
+    gmm = GmmParams(rng.standard_normal((n, 3)), np.array([0.2, 0.3, 0.5]),
+                    0.05 * np.eye(n))
+    source = MixtureSource(draw=lambda count, r: sample_gmm(gmm, count, r),
+                           covariance=gmm.covariance) if black_box else gmm
+    return sample_approx_ica_batch(source, 3.0, 20.0, rng, rows)
+
+
+def both_modes(data, order, chunk=7_000):
+    """The generic and the count-mode accumulator over the same chunks."""
+    shift = data.mean(axis=0)
+    accs = [MomentAccumulator(data.shape[1], order, shift=shift, count_last=mode)
+            for mode in (False, True)]
+    for start in range(0, len(data), chunk):
+        for acc in accs:
+            acc.update(data[start : start + chunk])
+    return accs
+
+
+class TestCountMode:
+    @pytest.mark.parametrize("black_box", [False, True])
+    @pytest.mark.parametrize("n, order", [(4, 7), (6, 5), (1, 5), (1, 7)])
+    def test_matches_generic_on_lifted_rows(self, n, order, black_box):
+        """On lifted rows from either source, n = 1 included, every sum is
+        within 1e-12 of the generic path's, relative to the sum of the
+        products' absolute values."""
+        data = lifted_rows(n, black_box)
+        generic, counted = both_modes(data, order)
+        assert counted.count == generic.count == len(data)
+        scale = MomentAccumulator(n + 1, order)
+        scale.update(np.abs(data - data.mean(axis=0)))
+        assert np.all(np.abs(counted.sums - generic.sums) <= 1e-12 * scale.sums)
+
+    def test_weight_order_on_the_unlifted_coordinates(self):
+        """The order-3 cumulant of the unlifted coordinates agrees with the
+        generic path's."""
+        generic, counted = both_modes(lifted_rows(4, False), 7)
+        want = assemble_flat_cumulant(generic, 3, coordinates=range(4)).data
+        got = assemble_flat_cumulant(counted, 3, coordinates=range(4)).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_rows_per_count(self):
+        data = lifted_rows(2, False)
+        generic, counted = both_modes(data, 3)
+        values, rows = np.unique(data[:, -1], return_counts=True)
+        assert counted.rows_per_count() == dict(zip(values.astype(int).tolist(), rows.tolist()))
+        with pytest.raises(ValueError):
+            generic.rows_per_count()
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0, np.nan, np.inf])
+    def test_bad_count_rejected_before_any_sum_moves(self, bad):
+        data = lifted_rows(2, False, rows=100)
+        acc = MomentAccumulator(3, 4, shift=data.mean(axis=0), count_last=True)
+        acc.update(data[:50])
+        sums, count = acc.sums.copy(), acc.count
+        broken = data[50:].copy()
+        broken[7, -1] = bad
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            acc.update(broken)
+        assert acc.count == count
+        assert np.array_equal(acc.sums, sums)
+        assert acc.rows_per_count() == dict(
+            zip(*[v.tolist() for v in np.unique(data[:50, -1].astype(int), return_counts=True)]))
 
 
 class TestJointCumulant:

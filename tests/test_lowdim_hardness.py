@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from poissonize import lowdim_hardness
@@ -297,14 +298,25 @@ def reference_quadrature(p, q):
         lo = min(lo, float(gmm.means.min()) - reach)
         hi = max(hi, float(gmm.means.max()) + reach)
 
-    def gap(t):
+    def difference(t):
         x = np.array([[t]])
-        return abs(float(density_loop(p, x)[0]) - float(density_loop(q, x)[0]))
+        return float(density_loop(p, x)[0]) - float(density_loop(q, x)[0])
 
-    breaks = np.unique(np.concatenate([p.means.ravel(), q.means.ravel()])).tolist()
+    grid = np.linspace(lo, hi, lowdim_hardness._SIGN_POINTS)
+    sign = np.sign(density_loop(p, grid[:, None]) - density_loop(q, grid[:, None]))
+    roots = [brentq(difference, grid[i], grid[i + 1])
+             for i in range(grid.size - 1) if sign[i] * sign[i + 1] < 0]
+    breaks = np.unique(np.concatenate([p.means.ravel(), q.means.ravel(), roots])).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(gap, lo, hi, points=breaks, limit=600, epsabs=1e-14)[0]
+        return quad(lambda t: abs(difference(t)), lo, hi, points=breaks,
+                    limit=600, epsabs=1e-14)[0]
+
+
+def midpoint_l1(p, q, lo=-12.0, hi=13.0, spacing=2.5e-4):
+    """The 1-D L1 distance by the midpoint rule on a fine grid."""
+    x = np.arange(lo + spacing / 2, hi, spacing)[:, None]
+    return float(np.abs(density_loop(p, x) - density_loop(q, x)).sum()) * spacing
 
 
 class TestL1Distance:
@@ -314,6 +326,15 @@ class TestL1Distance:
         returns the same value."""
         pair = build_close_pair(*equispaced_interleaved(h))
         assert pair.l1_distance == reference_quadrature(pair.p, pair.q)
+
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.025])
+    def test_decay_pairs_match_a_fine_midpoint_grid(self, h):
+        """With the sign changes of p - q as break points, each decay pair is
+        within 1e-7 relative of a midpoint grid of spacing 2.5e-4 over
+        [-12, 13].  Split at the means alone, the h = 0.025 pair was 5e-7
+        off."""
+        pair = build_close_pair(*equispaced_interleaved(h))
+        assert pair.l1_distance == pytest.approx(midpoint_l1(pair.p, pair.q), rel=1e-7, abs=0)
 
     def test_quadrature_bits_of_the_reference_density_on_pigeonhole_pair(self):
         rng = SeededRng(1000)

@@ -14,6 +14,7 @@ from poissonize.smoothed_analysis import (
     rv_check,
     smoothed_trial,
 )
+from poissonize.tensor_linalg import khatri_rao, sigma_min
 
 
 class TestBaseMatrix:
@@ -53,6 +54,17 @@ class TestSmoothedTrial:
     def test_full_square_dominates_multilinear(self):
         trial = smoothed_trial(base_matrix("gaussian", 7, SeededRng(5)), 0.2, SeededRng(6))
         assert trial.sigma_min_kr_odot2 >= trial.sigma_min_kr2 - 1e-12
+
+    @pytest.mark.parametrize("n", [3, 6, 20])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_full_square_matches_the_khatri_rao_square(self, family, n):
+        """The recorded full square is sigma_min of ``khatri_rao(P, P)`` for
+        the perturbed matrix P, within 1e-12 relative."""
+        base = base_matrix(family, n, SeededRng(n))
+        trial = smoothed_trial(base, 0.1, SeededRng(n + 1))
+        perturbed = base + 0.1 * SeededRng(n + 1).standard_normal(base.shape)
+        want = sigma_min(khatri_rao(perturbed, perturbed))
+        assert trial.sigma_min_kr_odot2 == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_scaling_law(self):
         """(cM, c sigma) with the same noise draw scales both measured
