@@ -346,6 +346,7 @@ def _cmd_learn(config, out_dir):
         except (FeasibilityError, IllConditionedError, DegenerateModelError) as exc:
             error = f"{type(exc).__name__}: {exc}"
             row.update(failed=True, reason=error)
+            diag = getattr(exc, "diagnostics", diag)  # set when it failed after sampling
         return row, time.perf_counter() - started, error, diag
 
     # imported here, so that the other commands do not load the thread pool

@@ -4,10 +4,11 @@ The estimator runs in one streaming pass: mixed raw moments are accumulated
 for every sorted index multiset up to the requested order, as a product per
 row tile of the monomials of about half that degree, split by degree so that
 only the entries some multiset reads are formed (with compensated summation
-across tiles).  When the last coordinate is an exact count, as the
-repetition count R of a Poissonized row is, the rows are grouped by its
-value: each group accumulates the monomials of the other coordinates alone,
-and the lifted sums are one exact linear map of the per-count sums.  Joint
+across tiles).  The rows are accumulated in groups: when the last
+coordinate is an exact count, as the repetition count R of a Poissonized row
+is, one group per value of it, each over the monomials of the other
+coordinates alone, and otherwise all rows as one group.  The sums per key
+are one exact linear map of the per-group sums.  Joint
 cumulants are then assembled by the moment-to-cumulant recursion over
 sub-multisets (P. J. Smith, Am. Statist. 49(2), 1995; McCullagh, Tensor
 Methods in Statistics, 1987, ch. 2-3), one order at a time for all
@@ -100,17 +101,20 @@ class MomentAccumulator:
     rounding; their last bits depend on the tile size, the BLAS build and
     its thread count.
 
-    With ``count_last`` the last coordinate is an exact count R, such as
-    the Poisson repetition count of a lifted row, and must hold nonnegative
-    integers (else ``update`` raises ValueError before any sum moves).  The
-    rows are then grouped by R through a stable sort of the chunk's counts,
-    each tile's rows are gathered into the scratch, and the tiles of each
-    group accumulate the monomial sums S_r of the other coordinates alone,
-    up to the full order (S_r of the empty monomial is the group's row
-    count).
-    ``sums`` is their exact linear image: the key of monomial alpha of the
-    other coordinates times the count coordinate j times holds sum_r (r -
-    shift[-1])**j S_r[alpha].
+    The rows are accumulated in groups r, each tile's rows gathered into
+    the scratch, and each group keeps the monomial sums S_r up to the full
+    order of the coordinates it multiplies (S_r of the empty monomial is the
+    group's row count).  With ``count_last`` the last coordinate is an exact
+    count R, such as the Poisson repetition count of a lifted row, and must
+    hold nonnegative integers (else ``update`` raises ValueError before any
+    sum moves); the rows are grouped by R through a stable sort of the
+    chunk's counts, and the tiles multiply the other coordinates alone.
+    Without it all rows form the one group r = 0 and the tiles multiply
+    every coordinate.  ``sums`` is the exact linear image of the S_r: the
+    key of monomial alpha of the multiplied coordinates times the count
+    coordinate j times holds sum_r (r - shift[-1])**j S_r[alpha] (j = 0
+    for every key without a count coordinate, so ``sums`` is S_0 itself).
+    The mean of the monomial of ``keys[i]`` is ``sums[i] / count``.
     """
 
     def __init__(self, dim, order, shift=None, count_last=False):
@@ -127,22 +131,20 @@ class MomentAccumulator:
             raise ValueError("shift must have one entry per coordinate")
         self.count_last = bool(count_last)
         self.keys = _sorted_keys(self.dim, self.order)
-        self.position = {key: idx for idx, key in enumerate(self.keys)}
         self.sums = np.zeros(len(self.keys))
         self.count = 0
 
-        # the coordinates that the tiles multiply, and the sums they hold
+        # the coordinates that the tiles multiply, the sums they hold per
+        # count value (one value, 0, without a count coordinate), and the
+        # map from those sums to the keys: key = alpha times the count
+        # coordinate j times
         self._free = self.dim - self.count_last
-        if self.count_last:
-            targets = [()] + _sorted_keys(self._free, self.order)
-            where = {key: idx for idx, key in enumerate(targets)}
-            self._power = np.array([key.count(self._free) for key in self.keys])
-            self._alpha = np.array([where[key[: len(key) - j]]
-                                    for key, j in zip(self.keys, self._power)])
-            self._per_count = {}  # r -> (sums, compensations) over targets
-        else:
-            targets = self.keys
-            self._comps = np.zeros(len(self.keys))
+        targets = [()] + _sorted_keys(self._free, self.order)
+        where = {key: idx for idx, key in enumerate(targets)}
+        self._power = np.array([key.count(self._free) for key in self.keys])
+        self._alpha = np.array([where[key[: len(key) - j]]
+                                for key, j in zip(self.keys, self._power)])
+        self._per_count = {}  # r -> (sums, compensations) over targets
 
         # monomials of degree <= order - order // 2 in colex order: within
         # degree k, those ending in coordinate i are the degree k - 1 ones
@@ -195,16 +197,11 @@ class MomentAccumulator:
         c = chunk.shape[0]
         if c == 0:
             return
+        if self.count_last:
+            order, values, bounds = _count_groups(chunk[:, -1])
+        else:
+            order, values, bounds = np.arange(c), [0], [0, c]
         tile_rows = min(c, self._tile)
-        if not self.count_last:
-            scratch = np.empty(self._monomials * tile_rows + self._products)
-            for start in range(0, c, self._tile):
-                tile = chunk[start : start + self._tile].T
-                _add_compensated(self.sums, self._comps, self._tile_sums(tile, scratch))
-            self.count += c
-            return
-
-        order, values, bounds = _count_groups(chunk[:, -1])
         scratch = np.empty((self._monomials + self.dim) * tile_rows + self._products)
         gathered = scratch[-self.dim * tile_rows :].reshape(tile_rows, self.dim)
         for r, start, stop in zip(values, bounds[:-1], bounds[1:]):
@@ -250,15 +247,6 @@ class MomentAccumulator:
         if not self.count_last:
             raise ValueError("rows per count need count_last")
         return {r: int(self._per_count[r][0][0]) for r in sorted(self._per_count)}
-
-    def moment(self, indices):
-        """Mean of the monomial for a 0-based index tuple (any order)."""
-        if self.count == 0:
-            raise ValueError("no samples accumulated")
-        key = tuple(sorted(_coordinates(indices, self.dim).tolist()))
-        if len(key) > self.order:
-            raise ValueError("tuple length out of range")
-        return self.sums[self.position[key]] / self.count
 
     def _sub_codes(self, digits, chosen):
         """Codes of the sub-multisets that keep the ``chosen`` positions, a

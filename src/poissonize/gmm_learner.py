@@ -20,6 +20,7 @@ from .cumulants import MomentAccumulator, analytic_ica_cumulant, assemble_flat_c
 from .distributions import GmmParams
 from .ica import (
     _SUPPORTED_ORDERS,
+    DegenerateModelError,
     IllConditionedError,
     _match_columns,
     recover_from_cumulants,
@@ -189,6 +190,9 @@ def learn_means(
     samples : Poissonized sample budget N, streamed ``chunk`` rows at a time.
     tau : optional truncation override; the run is then certified a
         posteriori through the recorded tv_gap.
+
+    A FeasibilityError, IllConditionedError or DegenerateModelError raised
+    after sampling carries the run's diagnostics as its ``diagnostics``.
     """
     truth = source if isinstance(source, GmmParams) else None
     if truth is None and not isinstance(source, MixtureSource):
@@ -234,9 +238,13 @@ def learn_means(
     m0 = assemble_flat_cumulant(acc, d).as_matrix()
     k_next = assemble_flat_cumulant(acc, d + 1).data
     flat_weights = assemble_flat_cumulant(acc, _WEIGHT_ORDER) if with_weights else None
-    return _recover(
-        m0, k_next, flat_weights, m, d, rng, params, truth, samples, diagnostics
-    )
+    try:
+        return _recover(
+            m0, k_next, flat_weights, m, d, rng, params, truth, samples, diagnostics
+        )
+    except (FeasibilityError, IllConditionedError, DegenerateModelError) as exc:
+        exc.diagnostics = diagnostics
+        raise
 
 
 def learn_means_oracle(gmm, d, rng, with_weights=True):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonize
-from poissonize import cli
+from poissonize import cli, gmm_learner
 from poissonize.cli import main
 
 TOY_LEARN = {
@@ -108,6 +108,32 @@ class TestLearnCommand:
             # R = 0 has probability exp(-2) at lambda = m = 2
             assert share == pytest.approx(math.exp(-2.0), abs=0.02)
         assert not {"largest_counts", "zero_count_shares"} & set(read_rows(out)[0])
+        aborted = tmp_path / "aborted"
+        cfg = write_config(tmp_path, {**TOY_LEARN, "tau": 6, "samples": 5_000, "trials": 1})
+        assert main(["learn", "--config", cfg, "--out", str(aborted)]) == 2
+        summary = read_summary(aborted)
+        assert summary["largest_counts"] == summary["zero_count_shares"] == [None]
+
+    @pytest.mark.parametrize("error", ["IllConditionedError", "DegenerateModelError",
+                                       "FeasibilityError"])
+    def test_counts_kept_when_recovery_fails(self, tmp_path, monkeypatch, error):
+        """A trial whose recovery raises a modeled error after sampling still
+        reports the counts it saw; a truncation abort still reads null."""
+        exc_type = getattr(gmm_learner, error)
+
+        def recover_from_cumulants(*args):
+            raise exc_type("forced")
+
+        monkeypatch.setattr(gmm_learner, "recover_from_cumulants", recover_from_cumulants)
+        cfg = write_config(tmp_path, TOY_LEARN)
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
+        assert [row["reason"] for row in read_rows(out)] == [f"{error}: forced"] * 2
+        summary = read_summary(out)
+        assert len(summary["largest_counts"]) == len(summary["zero_count_shares"]) == 2
+        for largest, share in zip(summary["largest_counts"], summary["zero_count_shares"]):
+            assert isinstance(largest, int) and 2 <= largest <= TOY_LEARN["tau"]
+            assert share == pytest.approx(math.exp(-2.0), abs=0.02)
         aborted = tmp_path / "aborted"
         cfg = write_config(tmp_path, {**TOY_LEARN, "tau": 6, "samples": 5_000, "trials": 1})
         assert main(["learn", "--config", cfg, "--out", str(aborted)]) == 2

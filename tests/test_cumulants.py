@@ -5,6 +5,7 @@ The analytic path is checked against brute-force outer-product sums to
 are checked against known distributions at fixed seeds.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonize import cli
 from poissonize.cumulants import (
     FlatCumulant,
     MomentAccumulator,
@@ -194,6 +196,30 @@ TILED_CASES = [
 ]
 
 
+# sha256 hex digests of the sums, and of the assembled orders 1..order in
+# turn, for rows without a count coordinate fed in chunks that the row tiles
+# (26214, 104857, 7489 and 4369 rows) end inside, on one OpenBLAS thread.
+# Any change to the accumulator's float operations or their order moves
+# them.  They are the bits of one OpenBLAS CPU kernel (Haswell, OpenBLAS
+# 0.3.31); another BLAS or kernel may move last bits and needs them
+# recomputed at an unchanged accumulator.
+_BLAS = cli._openblas_thread_controls()
+BIT_PINS = [
+    (3, 5, (0, 7_000, 40_000, 60_000),
+     "2874b05523bc8ba89dc9ec6ff3d154a042cdf996f8c8902d88c65aa5ec9c91f0",
+     "58446e0d6c987a5d46c0d57911ed67e4c676e806a54b55e33214a52a5770321b"),
+    (1, 8, (0, 7_000, 120_000, 230_000),
+     "6028e74359d4c5e627476c91453c27672c7d78e69286360859370c0e45cb2953",
+     "165d173d2077e919b7266b7bd7b5daca61ebf8b47e5a826672e2fb4f9bb211dc"),
+    (4, 7, (0, 7_000, 19_000, 30_000),
+     "6b9860764b24b20256014896dde498c122efc7e678226a82f1b52d56519f1bb0",
+     "003e10cef44697c6d26215e329f5cde6c644e0ba220b9b3617218ff0d3c3754f"),
+    (7, 5, (0, 7_000, 14_000, 20_000),
+     "98f34fb546e34a425e69b64bbb17a521a0996112cbad04bffaa11043c78068ea",
+     "450e39ed762357a6376583bb9cb964f295dcad9dddb5eb80a1bdd9c7e6df46f4"),
+]
+
+
 def poisson_rows(rng, rows, dim, count_last):
     """Standard normal rows with one Poisson(1.5) column, first or last."""
     data = rng.standard_normal((rows, dim))
@@ -214,8 +240,8 @@ def check_independent_of_chunking(seed, dim, rows, cuts, count_last):
     assert pieces.count == whole.count == rows
     z = np.abs(data - shift)
     scale = {ell: float((z**ell).mean(axis=0).max()) for ell in range(1, 6)}
-    for key in whole.keys:
-        gap = abs(whole.moment(key) - pieces.moment(key))
+    gaps = np.abs(whole.sums / whole.count - pieces.sums / pieces.count)
+    for key, gap in zip(whole.keys, gaps):
         assert gap <= 1e-12 * scale[len(key)]
     for ell in (3, 4, 5):
         gap = np.abs(assemble_flat_cumulant(whole, ell).data
@@ -241,6 +267,11 @@ def check_tiled_sums(dim, order, rows, bounds, count_last):
         assert abs(total - want) <= 1e-12 * scale
 
 
+def moments(acc):
+    """The accumulated means, read by key."""
+    return dict(zip(acc.keys, acc.sums / acc.count))
+
+
 class TestMomentAccumulator:
     def test_moment_matches_direct_mean(self):
         rng = SeededRng(7)
@@ -248,12 +279,7 @@ class TestMomentAccumulator:
         acc = MomentAccumulator(3, 3)
         acc.update(data)
         want = (data[:, 0] * data[:, 1] ** 2).mean()
-        assert acc.moment((0, 1, 1)) == pytest.approx(want, rel=1e-12)
-
-    def test_index_order_irrelevant(self):
-        acc = MomentAccumulator(2, 2)
-        acc.update(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert acc.moment((0, 1)) == acc.moment((1, 0))
+        assert moments(acc)[(0, 1, 1)] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_chunking_is_exact(self):
         rng = SeededRng(9)
@@ -263,8 +289,9 @@ class TestMomentAccumulator:
         pieces = MomentAccumulator(2, 4)
         for start in range(0, 4096, 100):
             pieces.update(data[start : start + 100])
-        for key in whole.keys:
-            assert whole.moment(key) == pytest.approx(pieces.moment(key), rel=1e-13)
+        want = moments(whole)
+        for key, got in moments(pieces).items():
+            assert got == pytest.approx(want[key], rel=1e-13, abs=0)
 
     def test_empty_chunk_is_noop(self):
         acc = MomentAccumulator(2, 2)
@@ -308,14 +335,34 @@ class TestMomentAccumulator:
         tiles of each count value split across chunks too."""
         check_tiled_sums(dim, order, rows, bounds, count_last=True)
 
+    @pytest.mark.skipif(not _BLAS, reason="no OpenBLAS thread controls found")
+    @pytest.mark.parametrize("dim, order, bounds, sums_digest, assembled_digest", BIT_PINS)
+    def test_generic_sums_keep_their_bits(self, dim, order, bounds, sums_digest,
+                                          assembled_digest):
+        """Without a count coordinate, the sums and every assembled order
+        have the pinned bits."""
+        rng = SeededRng(dim * 10 + order)
+        data = poisson_rows(rng, bounds[-1], dim, count_last=False)
+        acc = MomentAccumulator(dim, order, shift=data[:1000].mean(axis=0))
+        with cli._one_blas_thread(_BLAS):
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                acc.update(data[start:stop])
+        assembled = hashlib.sha256()
+        for ell in range(1, order + 1):
+            assembled.update(assemble_flat_cumulant(acc, ell).data.tobytes())
+        assert hashlib.sha256(acc.sums.tobytes()).hexdigest() == sums_digest
+        assert assembled.hexdigest() == assembled_digest
+
     @pytest.mark.parametrize("indices", [(3,), (-1,), (0.5,), ()])
     def test_bad_index_rejected(self, indices):
-        """An index out of range or not an integer is refused, never looked
-        up as another key or truncated to one."""
+        """A coordinate out of range or not an integer, or none at all, is
+        refused when the sums are read back, never looked up as another key
+        or truncated to one."""
         acc = MomentAccumulator(3, 2)
         acc.update(np.eye(3))
-        with pytest.raises(ValueError):
-            acc.moment(indices)
+        with pytest.raises(ValueError, match="non-empty list of integers"):
+            assemble_flat_cumulant(acc, 1, coordinates=indices)
+
 
 
 def lifted_rows(n, black_box, rows=30_000, seed=5):

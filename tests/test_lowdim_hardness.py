@@ -145,7 +145,7 @@ class TestTargetF:
         t = 0.37
         left = target_f(np.array([0.5 - t]))
         right = target_f(np.array([0.5 + t]))
-        assert left == pytest.approx(right, rel=1e-14)
+        assert left == pytest.approx(right, rel=1e-14, abs=0)
 
     def test_positive_everywhere(self):
         rng = SeededRng(31)
@@ -155,14 +155,14 @@ class TestTargetF:
     def test_product_structure(self):
         x = np.array([0.2, 0.7])
         split = target_f(np.array([0.2])) * target_f(np.array([0.7]))
-        assert target_f(x) == pytest.approx(float(split), rel=1e-14)
+        assert target_f(x) == pytest.approx(float(split), rel=1e-14, abs=0)
 
 
 class TestInterpolate:
     def test_single_point_coefficient(self):
         coeffs, _ = interpolate(PointSet(np.array([[0.3]])))
         expected = float(target_f(np.array([0.3]))) * math.sqrt(2.0 * math.pi)
-        assert coeffs[0] == pytest.approx(expected, rel=1e-12)
+        assert coeffs[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_nodes_reproduced(self):
         for pts in (equispaced(20), random_points(9, 2, SeededRng(33))):
@@ -201,7 +201,7 @@ class TestInterpolate:
             for w, c in zip(coeffs, nodes.ravel())
         )
         assert (kernel(np.array([[x]]), nodes) @ coeffs).item() == pytest.approx(
-            manual, rel=1e-12
+            manual, rel=1e-12, abs=0
         )
 
 
@@ -378,7 +378,7 @@ class TestL1Distance:
             shift = np.zeros(n)
             shift[0] = 1.0
             got = l1_distance(unit_gaussian(np.zeros(n)), unit_gaussian(shift))
-            assert got == pytest.approx(expected, rel=2e-3)
+            assert got == pytest.approx(expected, rel=2e-3, abs=0)
 
     def test_grid_matches_a_finer_grid_on_pigeonhole_pairs(self):
         """The pairs pigeonhole returns in 2-D at k = 3 and 5, seeds
@@ -388,7 +388,7 @@ class TestL1Distance:
             for seed in range(1000, 1006):
                 rng = SeededRng(seed)
                 pair = pigeonhole_pair(random_points(4 * k * k, 2, rng), rng)
-                assert pair.l1_distance == pytest.approx(fine_grid_l1(pair), rel=2e-4)
+                assert pair.l1_distance == pytest.approx(fine_grid_l1(pair), rel=2e-4, abs=0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -73,9 +73,9 @@ class TestSmoothedTrial:
         c = 3.0
         one = smoothed_trial(base, 0.1, SeededRng(8))
         two = smoothed_trial(c * base, c * 0.1, SeededRng(8))
-        assert two.sigma_min_kr2 == pytest.approx(c**2 * one.sigma_min_kr2, rel=1e-12)
+        assert two.sigma_min_kr2 == pytest.approx(c**2 * one.sigma_min_kr2, rel=1e-12, abs=0)
         assert two.sigma_min_kr_odot2 == pytest.approx(
-            c**2 * one.sigma_min_kr_odot2, rel=1e-12
+            c**2 * one.sigma_min_kr_odot2, rel=1e-12, abs=0
         )
 
     def test_deterministic_given_seed(self):
@@ -129,7 +129,7 @@ class TestRunSmoothed:
             rs = run_smoothed(("zero",), 6, sigma, 8, SeededRng(71))
             medians.append(np.median([r.sigma_min_kr2 for r in rs]))
         assert all(a < b for a, b in zip(medians, medians[1:]))
-        assert medians[2] == pytest.approx(100.0 * medians[0], rel=1e-9)
+        assert medians[2] == pytest.approx(100.0 * medians[0], rel=1e-9, abs=0)
 
 
 class TestRvCheck:
