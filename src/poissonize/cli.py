@@ -79,14 +79,6 @@ def _load_config(path):
     return config
 
 
-def _check_keys(config, allowed, where="config"):
-    if not isinstance(config, dict):
-        raise UsageError(f"bad config value: {where} must be a JSON object")
-    unknown = sorted(set(config) - set(allowed))
-    if unknown:
-        raise UsageError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
 def _require(condition, message):
     if not condition:
         raise UsageError(message)
@@ -102,15 +94,50 @@ def _config_values():
         raise UsageError(f"bad config value: {exc}") from None
 
 
-def _array(config, key, default):
-    """A list-valued config value: a JSON array, or ``default`` when the key
-    is absent.  A string is refused, not read as a list of characters."""
-    if key not in config:
-        return list(default)
-    value = config[key]
-    if not isinstance(value, list):
-        raise TypeError(f"{key} must be a JSON array, got {value!r}")
-    return value
+class _Keys:
+    """A command's config reader: ``keys(name, default, parse)`` reads one
+    key (``default`` when absent) as ``parse(value, label)`` and records the
+    result in ``resolved``, the echo in summary.json.  ``check()`` refuses
+    every key that was neither read nor ``ignored``: the reads are the schema.
+    """
+
+    def __init__(self, config, where="config", ignored=()):
+        if not isinstance(config, dict):
+            raise UsageError(f"bad config value: {where} must be a JSON object")
+        self.config, self.where, self.ignored = config, where, set(ignored)
+        self.resolved, self.blocks = {}, []
+
+    def __call__(self, name, default, parse=lambda value, label: value):
+        label = name if self.where == "config" else f"{self.where} {name}"
+        self.resolved[name] = parse(self.config.get(name, default), label)
+        return self.resolved[name]
+
+    def block(self, name):
+        """The reader of the JSON object under ``name`` (empty when absent),
+        checked and echoed with this one."""
+        self.blocks.append(_Keys(self.config.get(name, {}), where=name))
+        self.resolved[name] = self.blocks[-1].resolved
+        return self.blocks[-1]
+
+    def check(self):
+        for keys in (self, *self.blocks):
+            unknown = sorted(set(keys.config) - set(keys.resolved) - keys.ignored)
+            if unknown:
+                raise UsageError(f"unknown {keys.where} keys: {', '.join(unknown)}")
+
+
+def _array(parse=lambda entry, name: entry):
+    """The parser of a JSON array whose every entry ``parse`` reads.  A
+    string is refused, not read as a list of characters."""
+    def read(value, name):
+        if not isinstance(value, list):
+            raise TypeError(f"{name} must be a JSON array, got {value!r}")
+        return [parse(entry, name) for entry in value]
+    return read
+
+
+def _int(value, name):
+    return int(value)
 
 
 def _count(value, name):
@@ -130,31 +157,26 @@ def _finite(value, name):
     return value
 
 
-def _cumulant_order(value):
+def _cumulant_order(value, name):
     """The flattened cumulant order d, one the ICA solver supports."""
     d = int(value)
     if d not in _SUPPORTED_ORDERS:
-        raise ValueError(f"d must be one of {_SUPPORTED_ORDERS}, got {d}")
+        raise ValueError(f"{name} must be one of {_SUPPORTED_ORDERS}, got {d}")
     return d
+
+
+# the largest array a command may allocate, checked while its config is read
+_ARRAY_BYTES = 1 << 30
 
 
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------
 
-_GENERATOR_DEFAULTS = {
-    "n": 6,
-    "m": 6,
-    "norm_low": 1.0,
-    "norm_high": 2.0,
-    "min_angle_deg": 30.0,
-    "noise": 0.01,
-}
-
-
-def _random_separated_means(n, m, norm_low, norm_high, min_angle_deg, rng, tries=20000):
-    """Random means with norms in [norm_low, norm_high] and pairwise angles
-    above the threshold (angles between signed vectors, not lines)."""
+def _random_mixture(n, m, norm_low, norm_high, min_angle_deg, noise, rng, tries=20000):
+    """A uniform mixture of m components with covariance noise * I, whose
+    means have norms in [norm_low, norm_high] and pairwise angles above the
+    threshold (angles between signed vectors, not lines)."""
     cos_bound = math.cos(math.radians(min_angle_deg))
     directions = []
     for _ in range(tries):
@@ -166,19 +188,7 @@ def _random_separated_means(n, m, norm_low, norm_high, min_angle_deg, rng, tries
     else:
         raise UsageError("could not draw separated mean directions")
     norms = rng.uniform(norm_low, norm_high, size=m)
-    return np.column_stack(directions) * norms
-
-
-def _gmm_from_config(block):
-    missing = [key for key in ("means", "weights", "covariance") if key not in block]
-    if missing:
-        raise ValueError(f"gmm block lacks {', '.join(missing)}")
-    means = np.asarray(block["means"], dtype=float)
-    if means.ndim != 2:
-        raise ValueError("gmm means must be a list of mean vectors")
-    weights = np.asarray(block["weights"], dtype=float)
-    covariance = np.asarray(block["covariance"], dtype=float)
-    return GmmParams(means.T, weights, covariance)
+    return GmmParams(np.column_stack(directions) * norms, np.full(m, 1.0 / m), noise * np.eye(n))
 
 
 # thread-count entry points of OpenBLAS, (set, get): scipy's wheel builds
@@ -231,92 +241,70 @@ def _one_blas_thread(controls):
             setter(count)
 
 
-def _cmd_learn(config, out_dir):
-    allowed = {
-        "gmm", "generator", "d", "delta", "eps", "samples", "tau",
-        "trials", "seed", "with_weights", "chunk", "out",
-    }
-    _check_keys(config, allowed)
-    _require(not ("gmm" in config and "generator" in config),
+def _cmd_learn(keys, out_dir):
+    _require(not ("gmm" in keys.config and "generator" in keys.config),
              "give either gmm or generator, not both")
-    tau_setting = config.get("tau", "certified")
     with _config_values():
-        seed = int(config.get("seed", 0))
-        trials = config.get("trials", 1)
-        d = _cumulant_order(config.get("d", 4))
-        delta = _finite(config.get("delta", 0.1), "delta")
+        seed = keys("seed", 0, _int)
+        trials = keys("trials", 1)
+        d = keys("d", 4, _cumulant_order)
+        delta = keys("delta", 0.1, _finite)
         _require(0.0 < delta < 1.0,
                  f"bad config value: delta must lie in (0, 1), got {delta}")
         # eps is accepted and checked but has no effect
-        eps = _finite(config.get("eps", 0.25), "eps")
+        eps = keys("eps", 0.25, _finite)
         _require(eps > 0.0, f"bad config value: eps must be positive, got {eps}")
-        samples = _count(config.get("samples", 1_000_000), "samples")
+        samples = keys("samples", 1_000_000, _count)
         # the certified cutoff spends delta / (2 samples) on each draw
         _require(delta / (2 * samples) > 0.0,
                  f"bad config value: samples leave no truncation budget, got {samples}")
-        with_weights = config.get("with_weights", True)
+        with_weights = keys("with_weights", True)
         if not isinstance(with_weights, bool):
             raise TypeError(f"with_weights must be true or false, got {with_weights!r}")
-        chunk = _count(config.get("chunk", 1 << 17), "chunk")
-        fixed_tau = None if tau_setting == "certified" else _finite(tau_setting, "tau")
+        chunk = keys("chunk", 1 << 17, _count)
+        tau = keys("tau", "certified")
+        fixed_tau = None if tau == "certified" else _finite(tau, "tau")
 
-    generator = dict(_GENERATOR_DEFAULTS)
-    if "generator" in config:
-        _check_keys(config["generator"], _GENERATOR_DEFAULTS, where="generator")
-        with _config_values():
-            generator.update({
-                key: _count(value, f"generator {key}") if key in ("n", "m")
-                else _finite(value, f"generator {key}")
-                for key, value in config["generator"].items()
-            })
-            noise = generator["noise"]
+        if "gmm" in keys.config:
+            block = keys.block("gmm")
+            means, weights, covariance = (
+                block(key, None) for key in ("means", "weights", "covariance"))
+            missing = [key for key, value in block.resolved.items() if value is None]
+            if missing:
+                raise ValueError(f"gmm block lacks {', '.join(missing)}")
+            means = np.asarray(means, dtype=float)
+            if means.ndim != 2:
+                raise ValueError("gmm means must be a list of mean vectors")
+            fixed_gmm = GmmParams(means.T, weights, covariance)
+            components = fixed_gmm.m
+        else:
+            fixed_gmm = None
+            block = keys.block("generator")
+            n = block("n", 6, _count)
+            components = block("m", 6, _count)
+            low = block("norm_low", 1.0, _finite)
+            high = block("norm_high", 2.0, _finite)
+            min_angle_deg = block("min_angle_deg", 30.0, _finite)
+            noise = block("noise", 0.01, _finite)
             _require(noise >= 0.0,
                      f"bad config value: generator noise must be nonnegative, got {noise}")
-            low, high = generator["norm_low"], generator["norm_high"]
             _require(0.0 < low <= high,
                      "bad config value: need 0 < generator norm_low <= norm_high, "
                      f"got {low} and {high}")
-
-    fixed_gmm = None
-    if "gmm" in config:
-        _check_keys(config["gmm"], {"means", "weights", "covariance"}, where="gmm")
-        with _config_values():
-            fixed_gmm = _gmm_from_config(config["gmm"])
-    # the Poisson rate lambda is the component count m
-    components = fixed_gmm.m if fixed_gmm is not None else generator["m"]
-    if fixed_tau is not None:
-        _require(fixed_tau > math.e * components,
-                 "bad config value: tau must be finite and exceed "
-                 f"e * m = {math.e * components:.6g}, got {fixed_tau}")
-
-    resolved = {
-        "d": d, "delta": delta, "samples": samples,
-        "trials": trials, "seed": seed, "with_weights": with_weights,
-        "tau": tau_setting, "chunk": chunk,
-    }
-    resolved["gmm" if fixed_gmm is not None else "generator"] = (
-        config.get("gmm") if fixed_gmm is not None else generator
-    )
-
+        # the Poisson rate lambda is the component count m
+        if fixed_tau is not None:
+            _require(fixed_tau > math.e * components,
+                     "bad config value: tau must be finite and exceed "
+                     f"e * m = {math.e * components:.6g}, got {fixed_tau}")
+    keys.check()
     root = SeededRng(seed)
 
     def run_trial(trial):
         """One trial's record row, its seconds, its failure reason if it
         raised one of the modeled errors (else None), and its diagnostics."""
         rng = root.derive(trial)
-        if fixed_gmm is not None:
-            gmm = fixed_gmm
-        else:
-            means = _random_separated_means(
-                generator["n"], generator["m"], generator["norm_low"],
-                generator["norm_high"], generator["min_angle_deg"], rng,
-            )
-            m = generator["m"]
-            gmm = GmmParams(
-                means,
-                np.full(m, 1.0 / m),
-                generator["noise"] * np.eye(generator["n"]),
-            )
+        gmm = fixed_gmm if fixed_gmm is not None else _random_mixture(
+            n, components, low, high, min_angle_deg, noise, rng)
         started = time.perf_counter()
         row = {
             "trial": trial, "seed": rng.seed, "failed": False, "reason": "",
@@ -381,32 +369,32 @@ def _cmd_learn(config, out_dir):
         "workers": workers,
         "blas_threads": 1 if workers > 1 else None,
     }
-    return list(records), resolved, extra, status
+    return list(records), extra, status
 
 
 # ---------------------------------------------------------------------------
 # smoothed
 # ---------------------------------------------------------------------------
 
-def _cmd_smoothed(config, out_dir):
-    allowed = {"families", "n", "sigma", "trials", "seed", "out"}
-    _check_keys(config, allowed)
+def _cmd_smoothed(keys, out_dir):
     with _config_values():
-        families = _array(config, "families", FAMILIES)
+        families = keys("families", list(FAMILIES), _array())
         _require(families, "bad config value: families must not be empty")
         unknown = sorted(set(families) - set(FAMILIES))
         if unknown:
             raise ValueError(f"unknown families: {', '.join(unknown)}")
-        n = int(config.get("n", 10))
+        n = keys("n", 10, _int)
         _require(n >= 3, f"bad config value: n must be at least 3, got {n}")
-        sigma = _finite(config.get("sigma", 0.1), "sigma")
+        # a trial's largest array, the C(n + 1, 2) x C(n, 2) stack behind the
+        # full square, holds n^2 (n^2 - 1) / 4 < n^4 / 4 floats
+        limit = math.isqrt(math.isqrt(_ARRAY_BYTES // 2))
+        _require(n <= limit, f"bad config value: n must be at most {limit} "
+                 f"(a 1 GiB square), got {n}")
+        sigma = keys("sigma", 0.1, _finite)
         _require(sigma > 0.0, f"bad config value: sigma must be positive, got {sigma}")
-        trials = config.get("trials", 50)
-        seed = int(config.get("seed", 0))
-    resolved = {
-        "families": families, "n": n, "sigma": sigma,
-        "trials": trials, "seed": seed,
-    }
+        trials = keys("trials", 50)
+        seed = keys("seed", 0, _int)
+    keys.check()
     # one BLAS thread: the trials' small value-only SVDs run faster on it,
     # and the records keep the bits of a one-thread run under any count
     blas = _openblas_thread_controls()
@@ -425,35 +413,45 @@ def _cmd_smoothed(config, out_dir):
         ),
         "blas_threads": 1 if blas else None,
     }
-    return records, resolved, extra, 0
+    return records, extra, 0
 
 
 # ---------------------------------------------------------------------------
 # hardness
 # ---------------------------------------------------------------------------
 
-
-_HARDNESS_MODE_KEYS = {
-    "decay": {"h_values"},
-    "pigeonhole": {"k", "dimension", "instances"},
-}
-
-
-def _cmd_hardness(config, out_dir):
-    mode = config.get("mode", "decay")
-    _require(isinstance(mode, str) and mode in _HARDNESS_MODE_KEYS,
-             "mode must be 'decay' or 'pigeonhole'")
-    _check_keys(config, {"mode", "seed", "trials", "out"} | _HARDNESS_MODE_KEYS[mode])
+def _cmd_hardness(keys, out_dir):
     with _config_values():
-        seed = int(config.get("seed", 0))
+        mode = keys("mode", "decay")
+        _require(mode in ("decay", "pigeonhole"), "mode must be 'decay' or 'pigeonhole'")
+        seed = keys("seed", 0, _int)
+        if mode == "decay":
+            h_values = keys("h_values", [0.1, 0.05, 0.025], _array(_finite))
+            _require(h_values, "bad config value: h_values must not be empty")
+            # the largest arrays are the k x k kernel of the 1/(2h) points of a
+            # set and its longdouble copy, at most 16 bytes an entry
+            limit = math.isqrt(_ARRAY_BYTES // 16)
+            for h in h_values:
+                if h > 0.0 and 0.5 / h > limit:
+                    raise ValueError(f"h_values points per set 1/(2h) must be at most "
+                                     f"{limit} (a 1 GiB kernel), got {0.5 / h:.6g}")
+            designs = [equispaced_interleaved(h) for h in h_values]
+        else:
+            k = keys("k", 5, _int)
+            _require(k >= 2, f"bad config value: k must be at least 2, got {k}")
+            dimension = keys("dimension", 1, _count)
+            _require(dimension <= 3, "bad config value: dimension must be at most 3 "
+                     f"for the L1 distance, got {dimension}")
+            # an instance draws 4 k^2 points of 8 bytes a coordinate
+            limit = math.isqrt(_ARRAY_BYTES // (32 * dimension))
+            _require(k <= limit, f"bad config value: k must be at most {limit} "
+                     f"(4k^2 points in 1 GiB) in dimension {dimension}, got {k}")
+            # trials, as the global flag sets it, wins over instances
+            instances = keys.resolved["instances"] = _count(
+                keys.config.get("trials", keys.config.get("instances", 10)), "instances")
+    keys.check()
     status = 0
     if mode == "decay":
-        with _config_values():
-            h_values = [_finite(h, "h_values")
-                        for h in _array(config, "h_values", [0.1, 0.05, 0.025])]
-            _require(h_values, "bad config value: h_values must not be empty")
-            designs = [equispaced_interleaved(h) for h in h_values]
-        resolved = {"mode": mode, "h_values": h_values, "seed": seed}
         records = []
         for index, (h, (x_set, y_set)) in enumerate(zip(h_values, designs)):
             pair = build_close_pair(x_set, y_set)
@@ -472,18 +470,6 @@ def _cmd_hardness(config, out_dir):
             _write_pair(out_dir, f"pair_decay_{index}.json", pair)
         extra = {"pairs_written": len(records)}
     else:
-        with _config_values():
-            k = int(config.get("k", 5))
-            _require(k >= 2, f"bad config value: k must be at least 2, got {k}")
-            dimension = _count(config.get("dimension", 1), "dimension")
-            _require(dimension <= 3, "bad config value: dimension must be at most 3 "
-                     f"for the L1 distance, got {dimension}")
-            # trials, as the global flag sets it, wins over instances
-            instances = _count(config.get("trials", config.get("instances", 10)), "instances")
-        resolved = {
-            "mode": mode, "k": k, "dimension": dimension,
-            "instances": instances, "seed": seed,
-        }
         root = SeededRng(seed)
         records = []
         failures = []
@@ -516,7 +502,7 @@ def _cmd_hardness(config, out_dir):
             records.append(row)
         extra = {"failures": failures,
                  "built_count": sum(1 for r in records if r["built"])}
-    return records, resolved, extra, status
+    return records, extra, status
 
 
 def _write_pair(out_dir, name, pair):
@@ -529,7 +515,6 @@ def _write_pair(out_dir, name, pair):
 # ica-bench
 # ---------------------------------------------------------------------------
 
-
 def _random_conditioned_mixing(n, m, d, floor, rng, tries=200):
     for _ in range(tries):
         a = rng.standard_normal((n, m))
@@ -539,24 +524,19 @@ def _random_conditioned_mixing(n, m, d, floor, rng, tries=200):
     raise UsageError(f"no mixing matrix with sigma_min above {floor} found")
 
 
-def _cmd_ica_bench(config, out_dir):
-    allowed = {
-        "n", "m", "d", "trials", "sigma_floor", "cum_low", "cum_high",
-        "seed", "out",
-    }
-    _check_keys(config, allowed)
+def _cmd_ica_bench(keys, out_dir):
     with _config_values():
-        n = _count(config.get("n", 4), "n")
-        m = _count(config.get("m", 6), "m")
-        d = _cumulant_order(config.get("d", 4))
+        n = keys("n", 4, _count)
+        m = keys("m", 6, _count)
+        d = keys("d", 4, _cumulant_order)
         # the columns of the Khatri-Rao power are symmetric tensors
         rank_bound = math.comb(n + d // 2 - 1, d // 2)
         _require(m <= rank_bound, "bad config value: m must be at most "
                  f"C(n + d/2 - 1, d/2) = {rank_bound} for n = {n}, d = {d}, got {m}")
-        trials = config.get("trials", 20)
-        floor = _finite(config.get("sigma_floor", 1e-3), "sigma_floor")
-        cum_low = _finite(config.get("cum_low", 1.0), "cum_low")
-        cum_high = _finite(config.get("cum_high", 2.0), "cum_high")
+        trials = keys("trials", 20)
+        floor = keys("sigma_floor", 1e-3, _finite)
+        cum_low = keys("cum_low", 1.0, _finite)
+        cum_high = keys("cum_high", 2.0, _finite)
         _require(0.0 < cum_low <= cum_high,
                  "bad config value: need 0 < cum_low <= cum_high, "
                  f"got {cum_low} and {cum_high}")
@@ -572,11 +552,8 @@ def _cmd_ica_bench(config, out_dir):
                  f"bad config value: cum_high must be at most {limit:.6g} (the largest "
                  "float over 2 m), so that the exact cumulant tensors stay finite, "
                  f"got {cum_high}")
-        seed = int(config.get("seed", 0))
-    resolved = {
-        "n": n, "m": m, "d": d, "trials": trials, "sigma_floor": floor,
-        "cum_low": cum_low, "cum_high": cum_high, "seed": seed,
-    }
+        seed = keys("seed", 0, _int)
+    keys.check()
     root = SeededRng(seed)
     records = []
     for trial in range(trials):
@@ -598,13 +575,12 @@ def _cmd_ica_bench(config, out_dir):
         })
     worst = max(r["aligned_error"] for r in records)
     extra = {"max_aligned_error": worst, "all_below_1e-6": bool(worst < 1e-6)}
-    return records, resolved, extra, 0
+    return records, extra, 0
 
 
 # ---------------------------------------------------------------------------
 # reduction-check
 # ---------------------------------------------------------------------------
-
 
 def _brute_truncation_tv(lam, tau):
     """Half-sum of absolute density differences, by direct enumeration."""
@@ -619,31 +595,26 @@ def _brute_truncation_tv(lam, tau):
     return 0.5 * (float(np.abs(truncated - pmf).sum()) + beyond)
 
 
-def _cmd_reduction_check(config, out_dir):
-    allowed = {
-        "lam", "probs", "samples", "delta", "marginal_tol", "corr_tol",
-        "grid_lams", "grid_taus", "seed", "trials", "out",
-    }
-    _check_keys(config, allowed)
+def _cmd_reduction_check(keys, out_dir):
     with _config_values():
-        lam = _finite(config.get("lam", 5.0), "lam")
+        lam = keys("lam", 5.0, _finite)
         _require(lam > 0.0, f"bad config value: lam must be positive, got {lam}")
         # the marginal check keeps one histogram bin per count
         _require(lam <= 1e6, f"bad config value: lam must be at most 1e6, got {lam}")
-        probs = [_finite(p, "probs") for p in _array(config, "probs", [0.2, 0.3, 0.5])]
+        probs = keys("probs", [0.2, 0.3, 0.5], _array(_finite))
         _require(probs, "bad config value: probs must not be empty")
         _require(min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= 1e-12,
                  f"bad config value: probs must be nonnegative and sum to 1, got {probs}")
-        samples = _count(config.get("samples", 100_000), "samples")
+        samples = keys("samples", 100_000, _count)
         _require(samples >= 2, "bad config value: samples must be at least 2 "
                  f"for the pair correlations, got {samples}")
-        delta = _finite(config.get("delta", 1e-6), "delta")
+        delta = keys("delta", 1e-6, _finite)
         _require(0.0 < delta < 1.0,
                  f"bad config value: delta must lie in (0, 1), got {delta}")
-        marginal_tol = _finite(config.get("marginal_tol", 0.02), "marginal_tol")
-        corr_tol = _finite(config.get("corr_tol", 0.02), "corr_tol")
-        grid_lams = [_finite(v, "grid_lams") for v in _array(config, "grid_lams", range(1, 9))]
-        grid_taus = [int(v) for v in _array(config, "grid_taus", range(0, 21))]
+        marginal_tol = keys("marginal_tol", 0.02, _finite)
+        corr_tol = keys("corr_tol", 0.02, _finite)
+        grid_lams = keys("grid_lams", list(range(1, 9)), _array(_finite))
+        grid_taus = keys("grid_taus", list(range(21)), _array(_int))
         _require(grid_lams and grid_taus,
                  "bad config value: grid_lams and grid_taus must not be empty")
         _require(min(grid_lams) >= 0.0,
@@ -656,12 +627,8 @@ def _cmd_reduction_check(config, out_dir):
                  f"bad config value: grid_lams must be at most 1e6, got {grid_lams}")
         _require(max(grid_taus) <= 1e6,
                  f"bad config value: grid_taus must be at most 1e6, got {grid_taus}")
-        seed = int(config.get("seed", 0))
-    resolved = {
-        "lam": lam, "probs": probs, "samples": samples, "delta": delta,
-        "marginal_tol": marginal_tol, "corr_tol": corr_tol,
-        "grid_lams": grid_lams, "grid_taus": grid_taus, "seed": seed,
-    }
+        seed = keys("seed", 0, _int)
+    keys.check()
     rng = SeededRng(seed)
     records = []
 
@@ -715,7 +682,7 @@ def _cmd_reduction_check(config, out_dir):
         "lemma_tail": lemma_tail,
         "certified_tail": certified_tail,
     }
-    return records, resolved, extra, 0
+    return records, extra, 0
 
 
 # ---------------------------------------------------------------------------
@@ -757,14 +724,16 @@ def main(argv=None):
         out_dir = args.out or config.get("out") or "."
         os.makedirs(out_dir, exist_ok=True)
         started = time.perf_counter()
-        records, resolved, extra, status = _COMMANDS[args.command](config, out_dir)
+        # a command that runs no trials ignores the global trial count
+        keys = _Keys(config, ignored=("out", "trials"))
+        records, extra, status = _COMMANDS[args.command](keys, out_dir)
         csv_path = os.path.join(out_dir, "records.csv")
         write_records(csv_path, records)
         summary = {
             "command": args.command,
             "version": __version__,
-            "seed": resolved.get("seed"),
-            "config": resolved,
+            "seed": keys.resolved.get("seed"),
+            "config": keys.resolved,
             "wall_seconds": time.perf_counter() - started,
             "exit_status": status,
         }

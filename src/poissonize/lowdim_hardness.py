@@ -14,6 +14,7 @@ than rejecting by condition number.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -99,13 +100,11 @@ class PointSet:
 
 @dataclass
 class MixturePair:
-    """Two normalized disjointly-centered mixtures and their measured gap;
-    min_center_distance is the least distance between a center of p and
-    one of q."""
+    """Two normalized disjointly-centered mixtures; min_center_distance is
+    the least distance between a center of p and one of q."""
 
     p: GmmParams
     q: GmmParams
-    l1_distance: float
     min_center_distance: float = field(init=False)
     alpha: float = 1.0
     beta: float = 1.0
@@ -118,6 +117,11 @@ class MixturePair:
         self.min_center_distance = _cross_min_distance(self.p.means.T, self.q.means.T)
         if self.min_center_distance <= 0:
             raise ValueError("center sets must be disjoint")
+
+    @functools.cached_property
+    def l1_distance(self):
+        """The L1 distance between p and q, measured on first read."""
+        return l1_distance(self.p, self.q)
 
 
 def _sq_distances(a, b):
@@ -245,11 +249,6 @@ def build_close_pair(x_set, y_set):
     normalizations alpha = sum p1, beta = sum p2 are recorded (both close to
     and at least about 1 when the interpolants are accurate).
     """
-    return _measured(_unmeasured_pair(x_set, y_set))
-
-
-def _unmeasured_pair(x_set, y_set):
-    """build_close_pair without the L1 measurement (its l1_distance is NaN)."""
     if x_set.dimension != y_set.dimension:
         raise ValueError("point sets live in different dimensions")
     cross = _cross_min_distance(x_set.points, y_set.points)
@@ -272,18 +271,11 @@ def _unmeasured_pair(x_set, y_set):
     return MixturePair(
         p=p,
         q=q,
-        l1_distance=math.nan,
         alpha=alpha,
         beta=beta,
         fill=max(x_set.fill, y_set.fill),
         kernel_condition=max(condition_x, condition_y),
     )
-
-
-def _measured(pair):
-    """The pair with its L1 distance filled in."""
-    pair.l1_distance = l1_distance(pair.p, pair.q)
-    return pair
 
 
 def l1_distance(p, q):
@@ -358,7 +350,8 @@ def pigeonhole_pair(points, rng):
     agree; averaging those two pairs crosswise gives mixtures with equal
     counts.  Groups whose build degenerates are skipped; if no collision
     survives, the points are reshuffled by ``rng``, at most _RETRIES
-    rounds in all.  Only the returned pair's L1 distance is measured.
+    rounds in all.  A pair measures its L1 distance when it is first read,
+    so only the returned pair can be measured.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     total = points.shape[0]
@@ -377,12 +370,12 @@ def pigeonhole_pair(points, rng):
                 y_set = PointSet(sub[k:])
                 x_set.fill = compute_fill(x_set, resolution)
                 y_set.fill = compute_fill(y_set, resolution)
-                built.append(_unmeasured_pair(x_set, y_set))
+                built.append(build_close_pair(x_set, y_set))
             except (DegeneratePairError, KernelConditioningError, ValueError):
                 continue
         for pair in built:
             if pair.p.m == pair.q.m:
-                return _measured(pair)
+                return pair
         by_difference = {}
         collision = None
         for pair in built:
@@ -413,14 +406,12 @@ def _combine_pairs(first, second):
         np.concatenate([first.q.weights, second.p.weights]) / 2.0,
         first.q.covariance,
     )
-    pair = MixturePair(
+    return MixturePair(
         p=p,
         q=q,
-        l1_distance=math.nan,
         fill=max(first.fill, second.fill),
         kernel_condition=max(first.kernel_condition, second.kernel_condition),
     )
-    return _measured(pair)
 
 
 def embed_as_ica(pair):

@@ -2,9 +2,11 @@
 
 import csv
 import importlib
+import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -192,14 +194,14 @@ class TestLearnCommand:
         assert not (out / "records.csv").exists()
 
     def test_eps_has_no_effect(self, tmp_path):
-        """eps is accepted and range-checked, but changes no record and is
-        not echoed in the resolved config."""
+        """eps is accepted, range-checked and echoed with its value in the
+        resolved config, but changes no record."""
         outputs = []
-        for index, extra in enumerate(({}, {"eps": 1e40})):
+        for index, (extra, echoed) in enumerate((({}, 0.25), ({"eps": 1e40}, 1e40))):
             cfg = write_config(tmp_path, {**TOY_LEARN, **extra}, name=f"c{index}.json")
             out = tmp_path / f"out{index}"
             assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
-            assert "eps" not in read_summary(out)["config"]
+            assert read_summary(out)["config"]["eps"] == echoed
             outputs.append((out / "records.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -523,6 +525,14 @@ class TestConfigErrors:
          "gmm means must be a list of mean vectors"),
         ("ica-bench", {"cum_low": 5e-324, "cum_high": 5e-324, "trials": 2},
          "cum_low must be at least 2.22507e-308 (the smallest normal float), got 5e-324"),
+        ("smoothed", {"n": 153}, "n must be at most 152 (a 1 GiB square), got 153"),
+        ("hardness", {"mode": "pigeonhole", "k": 5793},
+         "k must be at most 5792 (4k^2 points in 1 GiB) in dimension 1, got 5793"),
+        ("hardness", {"mode": "pigeonhole", "k": 3345, "dimension": 3},
+         "k must be at most 3344 (4k^2 points in 1 GiB) in dimension 3, got 3345"),
+        ("hardness", {"h_values": [0.1, 1 / 16386]},
+         "h_values points per set 1/(2h) must be at most 8192 (a 1 GiB kernel), got 8193"),
+        ("hardness", {"h_values": [0.0]}, "h must be positive"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -563,6 +573,45 @@ class TestConfigErrors:
     def test_unknown_command(self, capsys):
         assert main(["transmogrify"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def documented_keys(command):
+    """The key set of each key table in the docs/cli.md section of
+    ``command``, in the order of the tables."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "cli.md").read_text()
+    section = text.split(f"\n## {command}\n")[1].split("\n## ")[0]
+    tables = []
+    for table in section.split("| key | default | meaning |")[1:]:
+        rows = itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()[2:])
+        tables.append({key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])})
+    return tables
+
+
+class TestDocumentedKeys:
+    @pytest.mark.parametrize("command, table, configs", [
+        ("learn", 0, [{**TOY_LEARN, "samples": 2000, "trials": 1},
+                      {"generator": {"n": 2, "m": 2}, "samples": 2000, "trials": 1}]),
+        ("smoothed", 0, [{"n": 3, "trials": 1}]),
+        ("hardness", 0, [{"h_values": [0.5]}]),
+        ("hardness", 1, [{"mode": "pigeonhole", "k": 2, "instances": 1}]),
+        ("ica-bench", 0, [{"trials": 1}]),
+        ("reduction-check", 0, [{"samples": 100, "grid_lams": [1], "grid_taus": [1]}]),
+    ])
+    def test_echoed_keys_are_the_documented_keys(self, tmp_path, command, table, configs):
+        """The keys a small run echoes in summary.json, nested blocks as
+        ``gmm.means`` and ``generator.n``, are the keys of the command's
+        docs/cli.md table (for learn over its gmm and generator runs, for
+        hardness one table per mode).  Each run also passes ``out``, which
+        every command accepts and no table lists, and ``--trials``."""
+        echoed = set()
+        for index, config in enumerate(configs):
+            out = tmp_path / f"out{index}"
+            cfg = write_config(tmp_path, {**config, "out": str(out)}, name=f"c{index}.json")
+            assert main([command, "--config", cfg, "--trials", "1"]) == 0
+            for key, value in read_summary(out)["config"].items():
+                echoed |= ({f"{key}.{sub}" for sub in value} if isinstance(value, dict)
+                           else {key})
+        assert echoed == documented_keys(command)[table]
 
 
 _GRID = st.integers(-1, 1)

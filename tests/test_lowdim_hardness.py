@@ -60,6 +60,7 @@ def eager_pigeonhole_pair(points, rng):
                 x_set = PointSet(sub[:k], fill=compute_fill(PointSet(sub[:k]), resolution))
                 y_set = PointSet(sub[k:], fill=compute_fill(PointSet(sub[k:]), resolution))
                 built.append(build_close_pair(x_set, y_set))
+                built[-1].l1_distance  # measured on first read: measure every pair
             except (DegeneratePairError, KernelConditioningError, ValueError):
                 continue
         for pair in built:
@@ -274,7 +275,7 @@ class TestMixturePair:
     def test_shared_center_rejected(self):
         p = unit_gaussian([0.5])
         with pytest.raises(ValueError):
-            MixturePair(p=p, q=p, l1_distance=0.0)
+            MixturePair(p=p, q=p)
 
     def test_nonpositive_center_distance_rejected(self):
         """The pair measures its center distance itself, as the closest
@@ -282,11 +283,11 @@ class TestMixturePair:
         and the pair is refused."""
         p = GmmParams(np.array([[0.2, 0.5]]), np.array([0.5, 0.5]), np.eye(1))
         q = GmmParams(np.array([[0.9, 0.8]]), np.array([0.5, 0.5]), np.eye(1))
-        pair = MixturePair(p=p, q=q, l1_distance=0.1)
+        pair = MixturePair(p=p, q=q)
         assert pair.min_center_distance == pytest.approx(0.3, abs=1e-15)
         shared = GmmParams(np.array([[0.9, 0.5]]), np.array([0.5, 0.5]), np.eye(1))
         with pytest.raises(ValueError):
-            MixturePair(p=p, q=shared, l1_distance=0.1)
+            MixturePair(p=p, q=shared)
 
 
 def reference_quadrature(p, q):
@@ -474,19 +475,22 @@ class TestPigeonholePair:
         points = first_round_fails(random_points(4 * k * k, dimension, rng), k)
         want = pair_to_json(eager_pigeonhole_pair(points, SeededRng(5)))
         with monkeypatch.context() as patch:
-            calls = counting(patch, "_unmeasured_pair")
+            calls = counting(patch, "build_close_pair")
             got = pair_to_json(pigeonhole_pair(points, SeededRng(5)))
         assert got == want
-        assert calls["_unmeasured_pair"] > 2 * k
+        assert calls["build_close_pair"] > 2 * k
 
     @pytest.mark.parametrize("dimension, k, seed", [(1, 5, 0), (2, 3, 0)] + COMBINING)
     def test_measures_only_the_returned_pair(self, dimension, k, seed, monkeypatch):
-        """One L1 measurement per call, whether the pair is a group's own or
-        a combination."""
+        """No L1 measurement while the pair is selected, and one when the
+        returned pair's distance is read, whether the pair is a group's own
+        or a combination."""
         rng = SeededRng(7 * seed + dimension)
         points = random_points(4 * k * k, dimension, rng)
         calls = counting(monkeypatch, "l1_distance")
-        pigeonhole_pair(points, rng)
+        pair = pigeonhole_pair(points, rng)
+        assert calls["l1_distance"] == 0
+        assert pair.l1_distance == pair.l1_distance == l1_distance(pair.p, pair.q)
         assert calls["l1_distance"] == 1
 
     def test_equal_component_counts(self):
@@ -507,7 +511,7 @@ class TestPigeonholePair:
     def test_dimension_four_refused_before_any_build(self, monkeypatch):
         """The L1 distance stops at 3-D, so a 4-D instance is refused before
         any group is interpolated."""
-        calls = counting(monkeypatch, "compute_fill", "_unmeasured_pair")
+        calls = counting(monkeypatch, "compute_fill", "build_close_pair")
         rng = SeededRng(1)
         with pytest.raises(ValueError, match="dimensions 1 to 3, got 4"):
             pigeonhole_pair(random_points(16, 4, rng), rng)
@@ -546,7 +550,6 @@ class TestEmbedAsIca:
         pair = MixturePair(
             p=GmmParams(np.array([[0.0, 0.5]]), np.array([0.5, 0.5]), np.eye(1)),
             q=unit_gaussian([0.9]),
-            l1_distance=0.1,
         )
         with pytest.raises(ValueError):
             embed_as_ica(pair)
