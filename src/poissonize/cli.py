@@ -47,7 +47,7 @@ from .lowdim_hardness import (
     pigeonhole_pair,
     random_points,
 )
-from .poissonization import poisson_split
+from .poissonization import SubroutineFailure, compute_reduction_params, poisson_split
 from .records import write_records, write_summary
 from .smoothed_analysis import FAMILIES, run_smoothed
 from .tensor_linalg import khatri_rao_power, sigma_min
@@ -140,6 +140,14 @@ def _int(value, name):
     return int(value)
 
 
+def _seed(value, name):
+    """A root seed: numpy seeds its generators from nonnegative integers."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def _count(value, name):
     """A count from the config (trials, instances, samples, chunk rows):
     an integer of at least 1."""
@@ -167,6 +175,12 @@ def _cumulant_order(value, name):
 
 # the largest array a command may allocate, checked while its config is read
 _ARRAY_BYTES = 1 << 30
+
+
+def _root(budget, power):
+    """The largest integer n with n**power <= budget."""
+    n = round(budget ** (1.0 / power))
+    return n if n**power <= budget else n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +259,14 @@ def _cmd_learn(keys, out_dir):
     _require(not ("gmm" in keys.config and "generator" in keys.config),
              "give either gmm or generator, not both")
     with _config_values():
-        seed = keys("seed", 0, _int)
+        seed = keys("seed", 0, _seed)
         trials = keys("trials", 1)
         d = keys("d", 4, _cumulant_order)
         delta = keys("delta", 0.1, _finite)
-        _require(0.0 < delta < 1.0,
-                 f"bad config value: delta must lie in (0, 1), got {delta}")
         # eps is accepted and checked but has no effect
         eps = keys("eps", 0.25, _finite)
         _require(eps > 0.0, f"bad config value: eps must be positive, got {eps}")
         samples = keys("samples", 1_000_000, _count)
-        # the certified cutoff spends delta / (2 samples) on each draw
-        _require(delta / (2 * samples) > 0.0,
-                 f"bad config value: samples leave no truncation budget, got {samples}")
         with_weights = keys("with_weights", True)
         if not isinstance(with_weights, bool):
             raise TypeError(f"with_weights must be true or false, got {with_weights!r}")
@@ -276,7 +285,7 @@ def _cmd_learn(keys, out_dir):
             if means.ndim != 2:
                 raise ValueError("gmm means must be a list of mean vectors")
             fixed_gmm = GmmParams(means.T, weights, covariance)
-            components = fixed_gmm.m
+            n, components = fixed_gmm.n, fixed_gmm.m
         else:
             fixed_gmm = None
             block = keys.block("generator")
@@ -291,17 +300,18 @@ def _cmd_learn(keys, out_dir):
             _require(0.0 < low <= high,
                      "bad config value: need 0 < generator norm_low <= norm_high, "
                      f"got {low} and {high}")
-        # the Poisson rate lambda is the component count m
-        if fixed_tau is not None:
-            _require(fixed_tau > math.e * components,
-                     "bad config value: tau must be finite and exceed "
-                     f"e * m = {math.e * components:.6g}, got {fixed_tau}")
+        # the largest array, the flattened order-(d + 1) cumulant, has (n + 1)^(d + 1) floats
+        limit = _root(_ARRAY_BYTES // 8, d + 1) - 1
+        _require(n <= limit, f"bad config value: n must be at most {limit} "
+                 f"(a 1 GiB order-{d + 1} cumulant) for d = {d}, got {n}")
+        params = compute_reduction_params(components, delta, samples, fixed_tau)
     keys.check()
     root = SeededRng(seed)
 
     def run_trial(trial):
         """One trial's record row, its seconds, its failure reason if it
-        raised one of the modeled errors (else None), and its diagnostics."""
+        raised a modeled error other than the truncation abort (else None),
+        and its diagnostics."""
         rng = root.derive(trial)
         gmm = fixed_gmm if fixed_gmm is not None else _random_mixture(
             n, components, low, high, min_angle_deg, noise, rng)
@@ -316,21 +326,20 @@ def _cmd_learn(keys, out_dir):
         try:
             report = learn_means(
                 gmm, gmm.m, d, delta, rng, samples,
-                tau=fixed_tau, with_weights=with_weights, chunk=chunk,
+                tau=params.tau, with_weights=with_weights, chunk=chunk,
             )
             diag = report.diagnostics
             row.update(
-                failed=report.failed,
-                reason="truncation-abort" if report.failed else "",
                 aligned_error=report.aligned_error,
                 weight_max_error=diag.get("weight_max_error"),
                 weight_sum=diag.get("weight_sum"),
-                tv_gap=diag.get("tv_gap"),
-                lam=report.params.lam,
-                tau=report.params.tau,
-                eigengap=diag.get("eigengap"),
-                samples_used=report.samples_used,
+                tv_gap=diag["tv_gap"], lam=params.lam, tau=params.tau,
+                eigengap=diag["eigengap"], samples_used=samples,
             )
+        except SubroutineFailure as exc:
+            diag = exc.diagnostics
+            row.update(failed=True, reason="truncation-abort",
+                       tv_gap=diag["tv_gap"], lam=params.lam, tau=params.tau)
         except (FeasibilityError, IllConditionedError, DegenerateModelError) as exc:
             error = f"{type(exc).__name__}: {exc}"
             row.update(failed=True, reason=error)
@@ -393,7 +402,7 @@ def _cmd_smoothed(keys, out_dir):
         sigma = keys("sigma", 0.1, _finite)
         _require(sigma > 0.0, f"bad config value: sigma must be positive, got {sigma}")
         trials = keys("trials", 50)
-        seed = keys("seed", 0, _int)
+        seed = keys("seed", 0, _seed)
     keys.check()
     # one BLAS thread: the trials' small value-only SVDs run faster on it,
     # and the records keep the bits of a one-thread run under any count
@@ -424,7 +433,7 @@ def _cmd_hardness(keys, out_dir):
     with _config_values():
         mode = keys("mode", "decay")
         _require(mode in ("decay", "pigeonhole"), "mode must be 'decay' or 'pigeonhole'")
-        seed = keys("seed", 0, _int)
+        seed = keys("seed", 0, _seed)
         if mode == "decay":
             h_values = keys("h_values", [0.1, 0.05, 0.025], _array(_finite))
             _require(h_values, "bad config value: h_values must not be empty")
@@ -533,6 +542,10 @@ def _cmd_ica_bench(keys, out_dir):
         rank_bound = math.comb(n + d // 2 - 1, d // 2)
         _require(m <= rank_bound, "bad config value: m must be at most "
                  f"C(n + d/2 - 1, d/2) = {rank_bound} for n = {n}, d = {d}, got {m}")
+        # the largest array, the (d + 1)-fold Khatri-Rao power of the mixing, m n^(d + 1) floats
+        limit = _root(_ARRAY_BYTES // (8 * m), d + 1)
+        _require(n <= limit, f"bad config value: n must be at most {limit} (a 1 GiB "
+                 f"Khatri-Rao power) for m = {m}, d = {d}, got {n}")
         trials = keys("trials", 20)
         floor = keys("sigma_floor", 1e-3, _finite)
         cum_low = keys("cum_low", 1.0, _finite)
@@ -552,7 +565,7 @@ def _cmd_ica_bench(keys, out_dir):
                  f"bad config value: cum_high must be at most {limit:.6g} (the largest "
                  "float over 2 m), so that the exact cumulant tensors stay finite, "
                  f"got {cum_high}")
-        seed = keys("seed", 0, _int)
+        seed = keys("seed", 0, _seed)
     keys.check()
     root = SeededRng(seed)
     records = []
@@ -627,7 +640,7 @@ def _cmd_reduction_check(keys, out_dir):
                  f"bad config value: grid_lams must be at most 1e6, got {grid_lams}")
         _require(max(grid_taus) <= 1e6,
                  f"bad config value: grid_taus must be at most 1e6, got {grid_taus}")
-        seed = keys("seed", 0, _int)
+        seed = keys("seed", 0, _seed)
     keys.check()
     rng = SeededRng(seed)
     records = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cumulants import MomentAccumulator, analytic_ica_cumulant, assemble_flat_cumulant
-from .distributions import GmmParams
+from .distributions import GmmParams, truncated_poisson_tv
 from .ica import (
     _SUPPORTED_ORDERS,
     DegenerateModelError,
@@ -32,7 +32,6 @@ from .poissonization import (
     compute_reduction_params,
     lift,
     sample_approx_ica_batch,
-    tv_gap,
 )
 from .tensor_linalg import khatri_rao_power, sigma_min
 
@@ -70,21 +69,18 @@ def derive_bounds(gmm, d):
 class LearnReport:
     """Outcome of one learning run.
 
-    estimated_means is None when the run failed (truncation abort); weights
-    are clipped at zero with ``diagnostics["weights_clipped"]`` set when the
-    raw recovery went slightly negative.  aligned_error is the mean matched
-    column distance against ground truth (the worst column sits in
+    Weights are None when not recovered, and clipped at zero with
+    ``diagnostics["weights_clipped"]`` set when the raw recovery went
+    slightly negative.  aligned_error is the mean matched column distance
+    against ground truth (the worst column sits in
     ``diagnostics["max_error"]``), None when no truth was supplied.
     """
 
-    estimated_means: np.ndarray | None
+    estimated_means: np.ndarray
     estimated_weights: np.ndarray | None
     aligned_error: float | None
     params: object
-    samples_used: int
-    failed: bool
     diagnostics: dict = field(default_factory=dict)
-
 
 
 def recover_weights(mixing, lam, flat_cum):
@@ -125,7 +121,7 @@ def _unlift(columns):
     return columns[:-1, :] / last
 
 
-def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, samples_used, diagnostics):
+def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, diagnostics):
     """The pipeline's tail, shared by the streamed and the analytic cumulants.
 
     Diagonalizes (m0, k_next), unlifts the columns into means, recovers and
@@ -149,8 +145,6 @@ def _recover(m0, k_next, flat_weights, m, d, rng, params, truth, samples_used, d
         estimated_weights=weights,
         aligned_error=None,
         params=params,
-        samples_used=samples_used,
-        failed=False,
         diagnostics=diagnostics,
     )
     if truth is not None:
@@ -185,14 +179,16 @@ def learn_means(
         feasibility check or error metric is possible.
     m, d : component count (a GmmParams source's own) and cumulant order
         (d in {4, 6}).
-    delta : failure budget; by default tau is certified against delta / 2.
+    delta : failure budget; the run's truncation gap ``tv_gap``, N times the
+        tail mass above tau, is certified against delta / 2.
     rng : SeededRng; all randomness of the run flows through it.
     samples : Poissonized sample budget N, streamed ``chunk`` rows at a time.
-    tau : optional truncation override; the run is then certified a
-        posteriori through the recorded tv_gap.
+    tau : the cutoff as a caller resolved it (``compute_reduction_params``);
+        None certifies one here.
 
-    A FeasibilityError, IllConditionedError or DegenerateModelError raised
-    after sampling carries the run's diagnostics as its ``diagnostics``.
+    A repetition count above tau raises SubroutineFailure.  It carries the
+    run's diagnostics as its ``diagnostics``, as does a FeasibilityError,
+    IllConditionedError or DegenerateModelError raised once sampling starts.
     """
     truth = source if isinstance(source, GmmParams) else None
     if truth is None and not isinstance(source, MixtureSource):
@@ -205,7 +201,7 @@ def learn_means(
     if samples < 1 or chunk < 1:
         raise ValueError(f"samples and chunk must be at least 1, got {samples} and {chunk}")
     params = compute_reduction_params(m, delta, samples, tau)
-    gap = tv_gap(params.lam, params.tau, samples)
+    gap = samples * truncated_poisson_tv(params.lam, params.tau)
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
     if truth is not None:
         diagnostics["sigma_m_lifted"] = derive_bounds(truth, d)
@@ -220,29 +216,15 @@ def learn_means(
                     block.shape[1], d + 1, shift=block.mean(axis=0), count_last=True)
             acc.update(block)
             del block  # so the next block is drawn without this one alive
-    except SubroutineFailure as failure:
-        diagnostics["failure_count"] = failure.count
-        return LearnReport(
-            estimated_means=None,
-            estimated_weights=None,
-            aligned_error=None,
-            params=params,
-            samples_used=0,
-            failed=True,
-            diagnostics=diagnostics,
-        )
-
-    rows = acc.rows_per_count()
-    diagnostics["largest_count"] = max(rows)
-    diagnostics["zero_count_share"] = rows.get(0, 0) / acc.count
-    m0 = assemble_flat_cumulant(acc, d).as_matrix()
-    k_next = assemble_flat_cumulant(acc, d + 1).data
-    flat_weights = assemble_flat_cumulant(acc, _WEIGHT_ORDER) if with_weights else None
-    try:
-        return _recover(
-            m0, k_next, flat_weights, m, d, rng, params, truth, samples, diagnostics
-        )
-    except (FeasibilityError, IllConditionedError, DegenerateModelError) as exc:
+        rows = acc.rows_per_count()
+        diagnostics["largest_count"] = max(rows)
+        diagnostics["zero_count_share"] = rows.get(0, 0) / acc.count
+        m0 = assemble_flat_cumulant(acc, d).as_matrix()
+        k_next = assemble_flat_cumulant(acc, d + 1).data
+        flat_weights = assemble_flat_cumulant(acc, _WEIGHT_ORDER) if with_weights else None
+        return _recover(m0, k_next, flat_weights, m, d, rng, params, truth, diagnostics)
+    except (SubroutineFailure, FeasibilityError, IllConditionedError,
+            DegenerateModelError) as exc:
         exc.diagnostics = diagnostics
         raise
 
@@ -265,9 +247,7 @@ def learn_means_oracle(gmm, d, rng, with_weights=True):
     flat_weights = (
         analytic_ica_cumulant(lifted, rates, _WEIGHT_ORDER) if with_weights else None
     )
-    return _recover(
-        m0, k_next, flat_weights, gmm.m, d, rng, params, gmm, 0, {"oracle": True}
-    )
+    return _recover(m0, k_next, flat_weights, gmm.m, d, rng, params, gmm, {"oracle": True})
 
 
 def evaluate_recovery(report, truth):
@@ -277,8 +257,6 @@ def evaluate_recovery(report, truth):
     the estimate column matched to true column j), and, when the report
     carries weights, the matched maximum weight error.
     """
-    if report.failed or report.estimated_means is None:
-        raise ValueError("failed runs report no means")
     est = np.asarray(report.estimated_means, dtype=float)
     tru = truth.means
     if est.shape != tru.shape:

@@ -23,7 +23,6 @@ from .distributions import (
     GmmParams,
     _psd_factor,
     certified_tail_threshold,
-    truncated_poisson_tv,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "sample_approx_ica_batch",
     "ReductionParams",
     "compute_reduction_params",
-    "tv_gap",
 ]
 
 # rows of noise drawn and mapped at a time by the direct sampler
@@ -45,8 +43,8 @@ _NOISE_ROWS = 2**14
 class SubroutineFailure(RuntimeError):
     """Raised when a Poisson repetition count exceeds the truncation tau.
 
-    Per the committed semantics a single such draw aborts the entire
-    experiment run; drivers record it as an explicit failed trial.
+    One such draw aborts the whole run, a modeled failure: ``count`` is the
+    offending count, and ``learn_means`` attaches the run's ``diagnostics``.
     """
 
     def __init__(self, count, tau):
@@ -211,33 +209,24 @@ class ReductionParams:
     lam: float
     tau: float
 
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.tau <= math.e * self.lam:
-            raise ValueError("tau must exceed e * lambda")
-
 
 def compute_reduction_params(m, delta, samples, tau=None):
     """lambda = m and the truncation tau for ``samples`` draws of an
     m-component mixture.
 
     tau defaults to the certified cutoff for the per-draw budget
-    delta / (2 samples), so the whole run's truncation gap (tv_gap) stays
-    below delta / 2.  A given ``tau`` forces the cutoff.
+    delta / (2 samples), so the whole run's truncation gap stays below
+    delta / 2.  A given ``tau``, finite and above e * m, forces the cutoff.
     """
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     lam = float(m)
     if tau is None:
-        tau = certified_tail_threshold(delta / (2 * samples), lam)
+        budget = delta / (2 * samples)
+        if not budget > 0.0:
+            raise ValueError(f"samples leave no truncation budget, got {samples}")
+        tau = certified_tail_threshold(budget, lam)
+    elif not (math.isfinite(tau) and tau > math.e * lam):
+        raise ValueError(
+            f"tau must be finite and exceed e * m = {math.e * lam:.6g}, got {tau}")
     return ReductionParams(lam=lam, tau=float(tau))
-
-
-def tv_gap(lam, tau, n_samples):
-    """Total variation budget consumed by truncation over a whole run:
-    n_samples * (1 - PoissonCDF(tau; lambda))."""
-    n_samples = int(n_samples)
-    if n_samples < 0:
-        raise ValueError("sample count must be nonnegative")
-    return n_samples * truncated_poisson_tv(lam, int(math.floor(tau)))

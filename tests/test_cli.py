@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonize
-from poissonize import cli, gmm_learner
+from poissonize import cli, gmm_learner, poissonization
 from poissonize.cli import main
 
 TOY_LEARN = {
@@ -153,6 +153,19 @@ class TestLearnCommand:
         assert row["reason"] == "truncation-abort"
         assert row["aligned_error"] == ""
         assert read_summary(out)["failure_count"] == 1
+
+    def test_certified_tau_is_found_once_per_run(self, tmp_path, monkeypatch):
+        """The certified cutoff is walked once, while the config is read, and
+        every trial truncates at it."""
+        walks = []
+        walk = poissonization.certified_tail_threshold
+        monkeypatch.setattr(poissonization, "certified_tail_threshold",
+                            lambda *args: walks.append(args) or walk(*args))
+        cfg = write_config(tmp_path, {**TOY_LEARN, "tau": "certified", "trials": 3})
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+        assert len(walks) == 1
+        assert [float(row["tau"]) for row in read_rows(out)] == [walk(*walks[0])] * 3
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, TOY_LEARN)
@@ -533,6 +546,23 @@ class TestConfigErrors:
         ("hardness", {"h_values": [0.1, 1 / 16386]},
          "h_values points per set 1/(2h) must be at most 8192 (a 1 GiB kernel), got 8193"),
         ("hardness", {"h_values": [0.0]}, "h must be positive"),
+        ("learn", {**TOY_LEARN, "seed": -1}, "seed must be nonnegative, got -1"),
+        ("smoothed", {"seed": -1}, "seed must be nonnegative, got -1"),
+        ("hardness", {"seed": -1}, "seed must be nonnegative, got -1"),
+        ("hardness", {"mode": "pigeonhole", "seed": -1}, "seed must be nonnegative, got -1"),
+        ("ica-bench", {"seed": -1}, "seed must be nonnegative, got -1"),
+        ("reduction-check", {"seed": -1}, "seed must be nonnegative, got -1"),
+        ("ica-bench", {"n": 30},
+         "n must be at most 29 (a 1 GiB Khatri-Rao power) for m = 6, d = 4, got 30"),
+        ("ica-bench", {"n": 12, "d": 6},
+         "n must be at most 11 (a 1 GiB Khatri-Rao power) for m = 6, d = 6, got 12"),
+        ("learn", {"generator": {"n": 42}},
+         "n must be at most 41 (a 1 GiB order-5 cumulant) for d = 4, got 42"),
+        ("learn", {"d": 6, "generator": {"n": 14, "m": 4}},
+         "n must be at most 13 (a 1 GiB order-7 cumulant) for d = 6, got 14"),
+        ("learn", {"gmm": {"means": [[1.0] + [0.0] * 41], "weights": [1.0],
+                           "covariance": [[0.0] * 42] * 42}},
+         "n must be at most 41 (a 1 GiB order-5 cumulant) for d = 4, got 42"),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              payload, fragment):
@@ -544,6 +574,17 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("poissonize: error: bad config value")
         assert fragment in err[0]
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("command", ["learn", "smoothed", "hardness",
+                                         "ica-bench", "reduction-check"])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, command):
+        """``--seed -1`` is refused as the config seed is, before numpy's
+        seeding would raise inside a trial."""
+        out = tmp_path / "out"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "poissonize: error: bad config value: seed must be nonnegative, got -1"]
         assert not (out / "records.csv").exists()
 
     @pytest.mark.parametrize("key", ["w", "u", "r", "b"])

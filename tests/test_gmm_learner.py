@@ -9,7 +9,7 @@ from poissonize.cumulants import (
     analytic_ica_cumulant,
     assemble_flat_cumulant,
 )
-from poissonize.distributions import GmmParams, SeededRng, sample_gmm
+from poissonize.distributions import GmmParams, SeededRng, sample_gmm, truncated_poisson_tv
 from poissonize.gmm_learner import (
     FeasibilityError,
     LearnReport,
@@ -20,7 +20,7 @@ from poissonize.gmm_learner import (
     recover_weights,
 )
 from poissonize.ica import IllConditionedError
-from poissonize.poissonization import MixtureSource
+from poissonize.poissonization import MixtureSource, SubroutineFailure
 
 
 def toy_gmm():
@@ -63,7 +63,6 @@ class TestLearnMeansOracle:
         """With analytic cumulants in place of estimation the pipeline is
         exact: all residual error is algorithmic, and there is none."""
         rep = learn_means_oracle(toy_gmm(), 4, SeededRng(23))
-        assert not rep.failed
         assert rep.aligned_error < 1e-8
         assert rep.diagnostics["max_error"] < 1e-8
         assert rep.diagnostics["weight_max_error"] < 1e-8
@@ -104,9 +103,7 @@ class TestLearnMeans:
             gmm, 2, 4, 0.1, SeededRng(21),
             1_000_000, tau=15,
         )
-        assert not rep.failed
         assert rep.aligned_error < 0.1
-        assert rep.samples_used == 1_000_000
         assert rep.diagnostics["tv_certified"]
         assert rep.diagnostics["weight_max_error"] < 0.05
         assert abs(rep.diagnostics["weight_sum"] - 1.0) < 0.05
@@ -145,27 +142,19 @@ class TestLearnMeans:
         assert max(misses) < 0.1
 
     def test_truncation_abort_reports_failed_run(self):
-        """tau = 6 at lambda = 2 leaves a fat tail; the subroutine aborts
-        and the report carries no means."""
+        """tau = 6 at lambda = 2 leaves a fat tail; the subroutine aborts,
+        and the raised SubroutineFailure carries the offending count and the
+        run's diagnostics, its uncertified truncation gap among them."""
         gmm = toy_gmm()
-        rep = learn_means(
-            gmm, 2, 4, 0.1, SeededRng(37),
-            5_000, tau=6,
-        )
-        assert rep.failed
-        assert rep.estimated_means is None
-        assert rep.estimated_weights is None
-        assert rep.aligned_error is None
-        assert rep.diagnostics["failure_count"] > 0
-        assert not rep.diagnostics["tv_certified"]
-
-    def test_failed_report_refuses_evaluation(self):
-        rep = LearnReport(
-            estimated_means=None, estimated_weights=None, aligned_error=None,
-            params=None, samples_used=0, failed=True,
-        )
-        with pytest.raises(ValueError):
-            evaluate_recovery(rep, toy_gmm())
+        with pytest.raises(SubroutineFailure) as info:
+            learn_means(
+                gmm, 2, 4, 0.1, SeededRng(37),
+                5_000, tau=6,
+            )
+        assert info.value.count > 6
+        diagnostics = info.value.diagnostics
+        assert not diagnostics["tv_certified"]
+        assert diagnostics["tv_gap"] == 5_000 * truncated_poisson_tv(2.0, 6)
 
     def test_feasibility_floor_enforced(self):
         """A mixture whose lifted conditioning is 0 (two means at the
@@ -304,7 +293,7 @@ class TestEvaluateRecovery:
         gmm = toy_gmm()
         rep = LearnReport(
             estimated_means=gmm.means.copy(), estimated_weights=None,
-            aligned_error=None, params=None, samples_used=0, failed=False,
+            aligned_error=None, params=None,
         )
         metrics = evaluate_recovery(rep, gmm)
         assert metrics["max_error"] == 0.0
@@ -315,7 +304,7 @@ class TestEvaluateRecovery:
         gmm = toy_gmm()
         rep = LearnReport(
             estimated_means=gmm.means[:, ::-1].copy(), estimated_weights=None,
-            aligned_error=None, params=None, samples_used=0, failed=False,
+            aligned_error=None, params=None,
         )
         metrics = evaluate_recovery(rep, gmm)
         assert metrics["max_error"] == 0.0
@@ -327,7 +316,7 @@ class TestEvaluateRecovery:
         noisy = gmm.means + 0.05 * rng.standard_normal(gmm.means.shape)
         rep = LearnReport(
             estimated_means=noisy, estimated_weights=None,
-            aligned_error=None, params=None, samples_used=0, failed=False,
+            aligned_error=None, params=None,
         )
         assert evaluate_recovery(rep, gmm)["max_error"] <= 0.1
 
@@ -336,7 +325,7 @@ class TestEvaluateRecovery:
         gmm = toy_gmm()
         rep = LearnReport(
             estimated_means=-gmm.means, estimated_weights=None,
-            aligned_error=None, params=None, samples_used=0, failed=False,
+            aligned_error=None, params=None,
         )
         assert evaluate_recovery(rep, gmm)["max_error"] > 1.0
 
@@ -345,7 +334,7 @@ class TestEvaluateRecovery:
         rep = LearnReport(
             estimated_means=gmm.means[:, ::-1].copy(),
             estimated_weights=np.array([0.45, 0.55]),
-            aligned_error=None, params=None, samples_used=0, failed=False,
+            aligned_error=None, params=None,
         )
         metrics = evaluate_recovery(rep, gmm)
         assert metrics["weight_max_error"] == pytest.approx(0.05)
@@ -353,7 +342,7 @@ class TestEvaluateRecovery:
     def test_shape_mismatch_rejected(self):
         rep = LearnReport(
             estimated_means=np.zeros((3, 2)), estimated_weights=None,
-            aligned_error=None, params=None, samples_used=0, failed=False,
+            aligned_error=None, params=None,
         )
         with pytest.raises(ValueError):
             evaluate_recovery(rep, toy_gmm())

@@ -17,10 +17,12 @@ from poissonize.distributions import (
     SeededRng,
     certified_tail_threshold,
     empirical_poisson_tv,
+    poisson_pmf,
     poisson_tail_threshold,
     sample_gmm,
     truncated_poisson_tv,
 )
+from poissonize.gmm_learner import learn_means
 from poissonize.poissonization import (
     IcaModel,
     MixtureSource,
@@ -29,7 +31,6 @@ from poissonize.poissonization import (
     lift,
     poisson_split,
     sample_approx_ica_batch,
-    tv_gap,
 )
 
 
@@ -381,7 +382,7 @@ class TestComputeReductionParams:
         for m, delta, samples in ((6, 0.1, 200_000), (2, 0.1, 200_000), (4, 1e-6, 10**7)):
             p = self.default_params(m=m, delta=delta, samples=samples)
             assert p.tau == certified_tail_threshold(delta / (2 * samples), m)
-            assert tv_gap(p.lam, p.tau, samples) < delta / 2
+            assert samples * truncated_poisson_tv(p.lam, p.tau) < delta / 2
 
     def test_tau_grows_as_delta_shrinks(self):
         taus = [self.default_params(delta=d).tau for d in (0.2, 0.02, 0.002)]
@@ -417,11 +418,15 @@ class TestComputeReductionParams:
 
 
 class TestTvGap:
+    """A run's truncation gap is N times the one-draw tail mass above tau."""
+
     def test_large_tau_vanishes(self):
-        assert tv_gap(4.0, 200, 10**6) < 1e-12
+        assert 10**6 * truncated_poisson_tv(4.0, 200) < 1e-12
 
     def test_single_sample_reduces_to_tail(self):
-        assert tv_gap(3.0, 7, 1) == pytest.approx(truncated_poisson_tv(3.0, 7))
+        """One draw's gap is the Poisson mass above tau, 1 - F(tau)."""
+        below = sum(poisson_pmf(k, 3.0) for k in range(8))
+        assert truncated_poisson_tv(3.0, 7) == pytest.approx(1.0 - below)
 
     def test_union_bound_below_half_delta(self):
         """Per-draw budget delta/(2N) makes the whole-run gap < delta/2.
@@ -432,11 +437,17 @@ class TestTvGap:
         """
         delta, lam = 0.1, 4.0
         tau = poisson_tail_threshold(delta / 2, lam)  # in-regime: ln(20) < 4 + tau
-        assert tv_gap(lam, tau, 1) < delta / 2
+        assert truncated_poisson_tv(lam, tau) < delta / 2
         for n in (1_000, 100_000, 10_000_000):
             tau = certified_tail_threshold(delta / (2 * n), lam)
-            assert tv_gap(lam, tau, n) < delta / 2
+            assert n * truncated_poisson_tv(lam, tau) < delta / 2
 
     def test_scales_linearly_in_samples(self):
-        one = tv_gap(2.0, 10, 1)
-        assert tv_gap(2.0, 10, 1000) == pytest.approx(1000 * one)
+        """The gap learn_means records doubles with the run's draws: two
+        runs at tau = 6 and lambda = 2 that abort on truncation."""
+        gaps = []
+        for samples in (5_000, 10_000):
+            with pytest.raises(SubroutineFailure) as info:
+                learn_means(toy_gmm(), 2, 4, 0.1, SeededRng(37), samples, tau=6)
+            gaps.append(info.value.diagnostics["tv_gap"])
+        assert gaps[1] == pytest.approx(2 * gaps[0])
