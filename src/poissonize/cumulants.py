@@ -7,8 +7,9 @@ only the entries some multiset reads are formed (with compensated summation
 across tiles).  The rows are accumulated in groups: when the last
 coordinate is an exact count, as the repetition count R of a Poissonized row
 is, one group per value of it, each over the monomials of the other
-coordinates alone, and otherwise all rows as one group.  The sums per key
-are one exact linear map of the per-group sums.  Joint
+coordinates alone, and otherwise all rows as one group.  Each tile's sums,
+scaled by powers of its group's count value, are added straight into the
+sums per key, so no state grows with the number of count values.  Joint
 cumulants are then assembled by the moment-to-cumulant recursion over
 sub-multisets (P. J. Smith, Am. Statist. 49(2), 1995; McCullagh, Tensor
 Methods in Statistics, 1987, ch. 2-3), one order at a time for all
@@ -96,25 +97,23 @@ class MomentAccumulator:
     at least that degree, and the lower rows against the rows of at most
     that degree.  A tile holds as many rows as fit 2**19 monomial entries (4
     MB of scratch) and is shifted on its own, so ``update`` allocates no
-    copy of the whole chunk.  Per-entry Kahan compensation across tiles
-    keeps the sums independent of how the rows are split into chunks, to
+    copy of the whole chunk.  Per-key Kahan compensation across tiles keeps
+    the sums independent of how the rows are split into chunks, to
     rounding; their last bits depend on the tile size, the BLAS build and
     its thread count.
 
     The rows are accumulated in groups r, each tile's rows gathered into
-    the scratch, and each group keeps the monomial sums S_r up to the full
-    order of the coordinates it multiplies (S_r of the empty monomial is the
-    group's row count).  With ``count_last`` the last coordinate is an exact
-    count R, such as the Poisson repetition count of a lifted row, and must
-    hold nonnegative integers (else ``update`` raises ValueError before any
-    sum moves); the rows are grouped by R through a stable sort of the
-    chunk's counts, and the tiles multiply the other coordinates alone.
-    Without it all rows form the one group r = 0 and the tiles multiply
-    every coordinate.  ``sums`` is the exact linear image of the S_r: the
-    key of monomial alpha of the multiplied coordinates times the count
-    coordinate j times holds sum_r (r - shift[-1])**j S_r[alpha] (j = 0
-    for every key without a count coordinate, so ``sums`` is S_0 itself).
-    The mean of the monomial of ``keys[i]`` is ``sums[i] / count``.
+    the scratch.  With ``count_last`` the last coordinate is an exact count
+    R, such as the Poisson repetition count of a lifted row, and must hold
+    nonnegative integers (else ``update`` raises ValueError before any sum
+    moves); the rows are grouped by R through a stable sort of the chunk's
+    counts, and the tiles multiply the other coordinates alone.  The key of
+    monomial alpha of those coordinates times the count coordinate j times
+    reads the tile's sum of alpha scaled by (r - shift[-1])**j.  Without
+    ``count_last`` all rows form the one group r = 0, the tiles multiply
+    every coordinate and every scale is 1.  So the state is the key sums
+    alone, whatever the number of count values.  The mean of the monomial
+    of ``keys[i]`` is ``sums[i] / count``.
     """
 
     def __init__(self, dim, order, shift=None, count_last=False):
@@ -132,19 +131,14 @@ class MomentAccumulator:
         self.count_last = bool(count_last)
         self.keys = _sorted_keys(self.dim, self.order)
         self.sums = np.zeros(len(self.keys))
+        self._comps = np.zeros(len(self.keys))
         self.count = 0
+        self._rows = {}  # r -> rows accumulated at count value r
 
-        # the coordinates that the tiles multiply, the sums they hold per
-        # count value (one value, 0, without a count coordinate), and the
-        # map from those sums to the keys: key = alpha times the count
-        # coordinate j times
+        # the coordinates that the tiles multiply, and the times j that each
+        # key holds the count coordinate (0 without one)
         self._free = self.dim - self.count_last
-        targets = [()] + _sorted_keys(self._free, self.order)
-        where = {key: idx for idx, key in enumerate(targets)}
         self._power = np.array([key.count(self._free) for key in self.keys])
-        self._alpha = np.array([where[key[: len(key) - j]]
-                                for key, j in zip(self.keys, self._power)])
-        self._per_count = {}  # r -> (sums, compensations) over targets
 
         # monomials of degree <= order - order // 2 in colex order: within
         # degree k, those ending in coordinate i are the degree k - 1 ones
@@ -170,8 +164,11 @@ class MomentAccumulator:
         self._low = sum(len(m) <= low_degree for m in monomials)
         self._top = (self._low - self._below) * (self._monomials - self._below)
         self._products = self._top + self._below * self._low
-        rows = np.array([row_of[key[: len(key) // 2]] for key in targets])
-        cols = np.array([row_of[key[len(key) // 2 :]] for key in targets])
+        # each key reads the product entry of its prefix alpha over the
+        # multiplied coordinates (the empty alpha's entry is the row count)
+        alphas = [key[: len(key) - j] for key, j in zip(self.keys, self._power)]
+        rows = np.array([row_of[alpha[: len(alpha) // 2]] for alpha in alphas])
+        cols = np.array([row_of[alpha[len(alpha) // 2 :]] for alpha in alphas])
         self._gather = np.where(
             rows >= self._below,
             (rows - self._below) * (self._monomials - self._below) + cols - self._below,
@@ -205,20 +202,19 @@ class MomentAccumulator:
         scratch = np.empty((self._monomials + self.dim) * tile_rows + self._products)
         gathered = scratch[-self.dim * tile_rows :].reshape(tile_rows, self.dim)
         for r, start, stop in zip(values, bounds[:-1], bounds[1:]):
-            if r not in self._per_count:
-                self._per_count[r] = np.zeros((2, len(self._gather)))
-            totals, comps = self._per_count[r]
+            scale = ((r - self.shift[-1]) ** np.arange(self.order + 1))[self._power]
             for first in range(start, stop, self._tile):
                 rows = order[first : min(first + self._tile, stop)]
                 # every index is valid; "clip" lets take write into out unbuffered
                 tile = np.take(chunk, rows, axis=0, out=gathered[: len(rows)], mode="clip")
-                _add_compensated(totals, comps, self._tile_sums(tile[:, : self._free].T, scratch))
+                sums = self._tile_sums(tile[:, : self._free].T, scratch)
+                _add_compensated(self.sums, self._comps, scale * sums)
+            self._rows[r] = self._rows.get(r, 0) + stop - start
         self.count += c
-        self.sums = self._lifted_sums()
 
     def _tile_sums(self, columns, scratch):
-        """The target sums of one tile, given as its unshifted ``columns``
-        (one row per multiplied coordinate)."""
+        """The key sums of one tile before the count scale, given as its
+        unshifted ``columns`` (one row per multiplied coordinate)."""
         t = columns.shape[1]
         p = scratch[: self._monomials * t].reshape(self._monomials, t)
         p[0] = 1.0
@@ -233,20 +229,12 @@ class MomentAccumulator:
         np.matmul(p[:below], p[:low].T, out=out[top : self._products].reshape(below, low))
         return out[self._gather]
 
-    def _lifted_sums(self):
-        """The key sums from the per-count sums, in increasing count."""
-        counts = sorted(self._per_count)
-        totals = np.array([self._per_count[r][0] for r in counts])
-        powers = (np.array(counts, dtype=float) - self.shift[-1])[:, None] ** np.arange(
-            self.order + 1)
-        return (powers[:, self._power] * totals[:, self._alpha]).sum(axis=0)
-
     def rows_per_count(self):
         """Rows accumulated at each count value r, as {r: rows} in increasing
         r (count mode only)."""
         if not self.count_last:
             raise ValueError("rows per count need count_last")
-        return {r: int(self._per_count[r][0][0]) for r in sorted(self._per_count)}
+        return dict(sorted(self._rows.items()))
 
     def _sub_codes(self, digits, chosen):
         """Codes of the sub-multisets that keep the ``chosen`` positions, a

@@ -74,13 +74,7 @@ class GmmParams:
             raise ValueError("weights must sum to 1 within 1e-12")
         if self.covariance.shape != (n, n):
             raise ValueError(f"covariance must have shape ({n}, {n})")
-        if not np.allclose(self.covariance, self.covariance.T, atol=1e-12, rtol=0.0):
-            raise ValueError("covariance must be symmetric")
-        eigs = np.linalg.eigvalsh(self.covariance)
-        if eigs.min() < _PSD_TOL:
-            raise ValueError(
-                f"covariance not positive semidefinite (min eigenvalue {eigs.min():g})"
-            )
+        _check_covariance(self.covariance)
 
     @property
     def n(self):
@@ -110,24 +104,30 @@ class GmmParams:
         return whiten, self.means.T @ whiten, self.weights * norm
 
 
-def _psd_factor(cov):
-    """Factor F with F @ F.T == cov.
+def _check_covariance(cov):
+    """Refuse a square ``cov`` that is not finite, symmetric to 1e-12 or
+    positive semidefinite to -1e-10: the noise factor and the density read
+    only one triangle, so an asymmetric matrix would be half ignored."""
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
+    if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
+        raise ValueError("covariance must be symmetric")
+    eigs = np.linalg.eigvalsh(cov)
+    if eigs.min() < _PSD_TOL:
+        raise ValueError(f"covariance not positive semidefinite (min eigenvalue {eigs.min():g})")
 
-    Cholesky when the matrix is numerically positive definite; otherwise an
-    eigendecomposition with negative eigenvalues above -1e-10 clipped to zero.
-    Eigenvalues below -1e-10 are an error.
+
+def _psd_factor(cov):
+    """Factor F with F @ F.T == cov, for a covariance that
+    :func:`_check_covariance` passed: Cholesky when it is numerically
+    positive definite, otherwise an eigendecomposition with its negative
+    eigenvalues (all above -1e-10) clipped to zero.
     """
-    cov = np.asarray(cov, dtype=float)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        pass
-    w, v = np.linalg.eigh(0.5 * (cov + cov.T))
-    if w.min() < _PSD_TOL:
-        raise ValueError(
-            f"covariance not positive semidefinite (min eigenvalue {w.min():g})"
-        )
-    return v * np.sqrt(np.clip(w, 0.0, None))
+        w, v = np.linalg.eigh(0.5 * (cov + cov.T))
+        return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 class SeededRng:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .distributions import (
     GmmParams,
+    _check_covariance,
     _psd_factor,
     certified_tail_threshold,
 )
@@ -85,7 +86,9 @@ class MixtureSource:
     """Black-box mixture sampler with known noise covariance.
 
     Ground-truth-free stand-in for :class:`~poissonize.distributions.GmmParams`
-    wherever only draws and the (known) covariance are required.
+    wherever only draws and the (known) covariance are required.  The
+    covariance must be finite, symmetric and positive semidefinite, as a
+    GmmParams covariance must.
     """
 
     draw: object  # callable(count, rng) -> (count, n) samples
@@ -95,6 +98,7 @@ class MixtureSource:
         self.covariance = np.asarray(self.covariance, dtype=float)
         if self.covariance.ndim != 2 or self.covariance.shape[0] != self.covariance.shape[1]:
             raise ValueError("covariance must be square")
+        _check_covariance(self.covariance)
 
 
 @dataclass

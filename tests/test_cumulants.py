@@ -8,6 +8,7 @@ are checked against known distributions at fixed seeds.
 import hashlib
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -219,6 +220,19 @@ BIT_PINS = [
      "450e39ed762357a6376583bb9cb964f295dcad9dddb5eb80a1bdd9c7e6df46f4"),
 ]
 
+# the same digests in count mode, for rows whose last coordinate is a
+# Poisson(1.5) count: the tiles of one count value (6241 rows at (7, 5) and
+# 7489 at (5, 7)) end inside the 33000-row chunk, whose counts 0 and 1 hold
+# more rows than that
+COUNT_BIT_PINS = [
+    (7, 5, (0, 7_000, 40_000, 60_000),
+     "2a0c5437f3de30c6d1391bcb88da2ce9fa5818695cda37282cf05f689d5535c1",
+     "9d985c707685da35b2a7d6664c2c6d6f509676cfbc91c9fba5a36d9ec72019b1"),
+    (5, 7, (0, 7_000, 40_000, 60_000),
+     "3c0d6f7ce2fa16309fc8dcbf5c46b8f5c2398f88d782921c05d93bce4b113c63",
+     "18faeef4a6c078b5fe9adc27614664f1610b849748f708437ceb3787106d65e7"),
+]
+
 
 def poisson_rows(rng, rows, dim, count_last):
     """Standard normal rows with one Poisson(1.5) column, first or last."""
@@ -416,6 +430,44 @@ class TestCountMode:
         assert counted.rows_per_count() == dict(zip(values.astype(int).tolist(), rows.tolist()))
         with pytest.raises(ValueError):
             generic.rows_per_count()
+
+    @pytest.mark.skipif(not _BLAS, reason="no OpenBLAS thread controls found")
+    @pytest.mark.parametrize("dim, order, bounds, sums_digest, assembled_digest",
+                             COUNT_BIT_PINS)
+    def test_count_sums_keep_their_bits(self, dim, order, bounds, sums_digest,
+                                        assembled_digest):
+        """With the count coordinate last, the sums and every assembled
+        order have the pinned bits."""
+        rng = SeededRng(dim * 10 + order)
+        data = poisson_rows(rng, bounds[-1], dim, count_last=True)
+        acc = MomentAccumulator(dim, order, shift=data[:1000].mean(axis=0), count_last=True)
+        with cli._one_blas_thread(_BLAS):
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                acc.update(data[start:stop])
+        assembled = hashlib.sha256()
+        for ell in range(1, order + 1):
+            assembled.update(assemble_flat_cumulant(acc, ell).data.tobytes())
+        assert hashlib.sha256(acc.sums.tobytes()).hexdigest() == sums_digest
+        assert assembled.hexdigest() == assembled_digest
+
+    def test_memory_does_not_grow_with_count_values(self):
+        """At 17 coordinates, order 5 and Poisson(100) counts (about 75
+        distinct values in 2**15 rows), one update and the read of the sums
+        peak under 16 MB of traced allocations: the 4 MB tile scratch and
+        the key sums, with no table per count value."""
+        rng = SeededRng(3)
+        data = rng.standard_normal((2**15, 17))
+        data[:, -1] = rng.poisson(100.0, size=2**15)
+        acc = MomentAccumulator(17, 5, shift=data.mean(axis=0), count_last=True)
+        tracemalloc.start()
+        try:
+            acc.update(data)
+            assert np.isfinite(acc.sums).all()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(acc.rows_per_count()) > 50
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("bad", [1.5, -1.0, np.nan, np.inf])
     def test_bad_count_rejected_before_any_sum_moves(self, bad):

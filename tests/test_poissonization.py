@@ -177,6 +177,18 @@ class TestSampleApproxIca:
         s = one_draw(src, 1.0, 8, SeededRng(8))
         assert s[0] == s[1] == s[2] or s[-1] == 0.0
 
+    @pytest.mark.parametrize("covariance, message", [
+        ([[1.0, 5.0], [0.0, 1.0]], "covariance must be symmetric"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "covariance must be finite"),
+        ([[1.0, 0.0], [0.0, -1.0]], "covariance not positive semidefinite"),
+    ])
+    def test_mixture_source_covariance_checked_on_construction(self, covariance, message):
+        """An asymmetric covariance (whose upper triangle the noise factor
+        would ignore), a NaN one and one with a negative eigenvalue are
+        refused as the source is built, before any draw."""
+        with pytest.raises(ValueError, match=message):
+            MixtureSource(draw=lambda count, rng: np.zeros((count, 2)), covariance=covariance)
+
 
 class TestSampleApproxIcaBatch:
     def test_batch_marginals_match_lifted_model(self):
