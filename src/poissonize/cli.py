@@ -372,6 +372,7 @@ def _cmd_learn(keys, out_dir):
         "aligned_errors": aligned,
         "median_aligned_error": float(np.median(aligned)) if aligned else None,
         "trial_seconds": list(timings),
+        "stage_seconds": [diag.get("stage_seconds") for diag in diags],
         "largest_counts": [diag.get("largest_count") for diag in diags],
         "zero_count_shares": [diag.get("zero_count_share") for diag in diags],
         "errors": errors,

@@ -1,10 +1,10 @@
 """Empirical and analytic cumulants of flattened higher-order tensors.
 
 The estimator runs in one streaming pass: mixed raw moments are accumulated
-for every sorted index multiset up to the requested order, as a product per
-row tile of the monomials of about half that degree, split by degree so that
-only the entries some multiset reads are formed (with compensated summation
-across tiles).  The rows are accumulated in groups: when the last
+for every sorted index multiset up to the requested order, as one product
+per row tile of the monomials of at most half that degree against those of
+the other half, big enough for numpy to release the GIL (with compensated
+summation across tiles).  The rows are accumulated in groups: when the last
 coordinate is an exact count, as the repetition count R of a Poissonized row
 is, one group per value of it, each over the monomials of the other
 coordinates alone, and otherwise all rows as one group.  Each tile's sums,
@@ -88,14 +88,16 @@ class MomentAccumulator:
 
     Accumulates sum_t prod_{j} (x_t[i_j] - shift[i_j]) for every
     nondecreasing index tuple (i_1 <= ... <= i_k), k = 1..order, in a single
-    pass over chunks.  Per row tile, the monomials of degree <= order -
-    order // 2 (the constant 1 included) are the rows of one array P, and
-    every sum is an entry of a product of P's rows with themselves: each
-    key's index tuple splits into a half of degree at most order // 2 and a
-    half of one degree more at most.  The product is taken in two parts that
-    hold every such entry: the rows of degree order // 2 against the rows of
-    at least that degree, and the lower rows against the rows of at most
-    that degree.  A tile holds as many rows as fit 2**19 monomial entries (4
+    pass over chunks.  Per row tile, the monomials of degree <= h = order -
+    order // 2 (the constant 1 included), and then the constant once more,
+    are the rows of one array P, and every sum is an entry of one product:
+    P's rows of degree at most order // 2 against its rows of degree h and
+    the repeated constant.  Each key's index tuple splits into its last h
+    indices and a head, or, when it is shorter, into itself and the
+    constant.  numpy 2.4 holds the GIL through a matmul of at most about
+    500 output entries, which stalls the trials that ``learn`` runs side by
+    side; the one product has 1596 entries at (7, 5) and 1260 at (5, 7) in
+    count mode.  A tile holds as many rows as fit 2**19 monomial entries (4
     MB of scratch) and is shifted on its own, so ``update`` allocates no
     copy of the whole chunk.  Per-key Kahan compensation across tiles keeps
     the sums independent of how the rows are split into chunks, to
@@ -159,21 +161,17 @@ class MomentAccumulator:
             block = grown
         row_of = {m: r for r, m in enumerate(monomials)}
         self._monomials = len(monomials)
-        # P's rows of degree below order // 2, and of at most order // 2
-        self._below = sum(len(m) < low_degree for m in monomials)
+        # P's first ``low`` rows times its rows from ``top`` on; each key reads
+        # the entry of its prefix alpha over the multiplied coordinates
+        high = self.order - low_degree
         self._low = sum(len(m) <= low_degree for m in monomials)
-        self._top = (self._low - self._below) * (self._monomials - self._below)
-        self._products = self._top + self._below * self._low
-        # each key reads the product entry of its prefix alpha over the
-        # multiplied coordinates (the empty alpha's entry is the row count)
+        self._top = sum(len(m) < high for m in monomials)
+        self._products = self._low * (self._monomials + 1 - self._top)
         alphas = [key[: len(key) - j] for key, j in zip(self.keys, self._power)]
-        rows = np.array([row_of[alpha[: len(alpha) // 2]] for alpha in alphas])
-        cols = np.array([row_of[alpha[len(alpha) // 2 :]] for alpha in alphas])
-        self._gather = np.where(
-            rows >= self._below,
-            (rows - self._below) * (self._monomials - self._below) + cols - self._below,
-            self._top + rows * self._low + cols,
-        )
+        tails = [alpha[len(alpha) - high :] if len(alpha) >= high else () for alpha in alphas]
+        rows = np.array([row_of[a[: len(a) - len(b)]] for a, b in zip(alphas, tails)])
+        cols = np.array([row_of[b] if b else self._monomials for b in tails])
+        self._gather = rows * (self._monomials + 1 - self._top) + cols - self._top
         self._tile = max(1, _TILE_ENTRIES // self._monomials)
 
         # one exact integer code per key, increasing along ``keys``: the
@@ -199,7 +197,7 @@ class MomentAccumulator:
         else:
             order, values, bounds = np.arange(c), [0], [0, c]
         tile_rows = min(c, self._tile)
-        scratch = np.empty((self._monomials + self.dim) * tile_rows + self._products)
+        scratch = np.empty((self._monomials + 1 + self.dim) * tile_rows + self._products)
         gathered = scratch[-self.dim * tile_rows :].reshape(tile_rows, self.dim)
         for r, start, stop in zip(values, bounds[:-1], bounds[1:]):
             scale = ((r - self.shift[-1]) ** np.arange(self.order + 1))[self._power]
@@ -216,17 +214,15 @@ class MomentAccumulator:
         """The key sums of one tile before the count scale, given as its
         unshifted ``columns`` (one row per multiplied coordinate)."""
         t = columns.shape[1]
-        p = scratch[: self._monomials * t].reshape(self._monomials, t)
-        p[0] = 1.0
+        height = self._monomials + 1
+        p = scratch[: height * t].reshape(height, t)
+        p[0] = p[-1] = 1.0
         z = p[1 : 1 + self._free]
         np.subtract(columns, self.shift[: self._free, None], out=z)
         for src, stop, i, dst in self._steps:
             np.multiply(p[src:stop], z[i], out=p[dst : dst + stop - src])
-        out = scratch[self._monomials * t : self._monomials * t + self._products]
-        below, low, top = self._below, self._low, self._top
-        upper = out[:top].reshape(low - below, self._monomials - below)
-        np.matmul(p[below:low], p[below:].T, out=upper)
-        np.matmul(p[:below], p[:low].T, out=out[top : self._products].reshape(below, low))
+        out = scratch[height * t : height * t + self._products]
+        np.matmul(p[: self._low], p[self._top :].T, out=out.reshape(self._low, -1))
         return out[self._gather]
 
     def rows_per_count(self):

@@ -153,8 +153,8 @@ class SeededRng:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.generator.uniform(low, high, size)
 
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        return self.generator.standard_normal(size, out=out)
 
     def permutation(self, x):
         return self.generator.permutation(x)

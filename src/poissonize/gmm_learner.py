@@ -12,6 +12,7 @@ error in the unlifted means is not amplified into it.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,16 +206,26 @@ def learn_means(
     diagnostics = {"tv_gap": gap, "tv_certified": bool(gap < delta / 2.0)}
     if truth is not None:
         diagnostics["sigma_m_lifted"] = derive_bounds(truth, d)
+    # wall seconds per stage: each lap adds the time since the last one
+    stages = diagnostics["stage_seconds"] = dict.fromkeys(
+        ("sample", "accumulate", "assemble", "recover"), 0.0)
+    laps = [time.perf_counter()]
+
+    def lap(stage):
+        laps.append(time.perf_counter())
+        stages[stage] += laps[-1] - laps[-2]
 
     try:
         acc = None
         for start in range(0, samples, chunk):
             block = sample_approx_ica_batch(
                 source, params.lam, params.tau, rng, min(chunk, samples - start))
+            lap("sample")
             if acc is None:
                 acc = MomentAccumulator(
                     block.shape[1], d + 1, shift=block.mean(axis=0), count_last=True)
             acc.update(block)
+            lap("accumulate")
             del block  # so the next block is drawn without this one alive
         rows = acc.rows_per_count()
         diagnostics["largest_count"] = max(rows)
@@ -222,7 +233,10 @@ def learn_means(
         m0 = assemble_flat_cumulant(acc, d).as_matrix()
         k_next = assemble_flat_cumulant(acc, d + 1).data
         flat_weights = assemble_flat_cumulant(acc, _WEIGHT_ORDER) if with_weights else None
-        return _recover(m0, k_next, flat_weights, m, d, rng, params, truth, diagnostics)
+        lap("assemble")
+        report = _recover(m0, k_next, flat_weights, m, d, rng, params, truth, diagnostics)
+        lap("recover")
+        return report
     except (SubroutineFailure, FeasibilityError, IllConditionedError,
             DegenerateModelError) as exc:
         exc.diagnostics = diagnostics

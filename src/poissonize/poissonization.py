@@ -161,10 +161,10 @@ def _sample_direct(gmm, lam, tau, rng, count):
     n = gmm.n
     if count == 0:
         return np.empty((0, n + 1))
-    counts = np.empty((count, gmm.m))
+    counts = np.empty((gmm.m, count))
     for j, w in enumerate(gmm.weights):
-        counts[:, j] = rng.poisson(w * lam, count)
-    out = counts @ lift(gmm.means).T
+        counts[j] = rng.poisson(w * lam, count)
+    out = counts.T @ lift(gmm.means).T
     del counts
     # the last coordinate is R, an exact integer sum; check it before the
     # noise, which leaves it exact
@@ -173,12 +173,16 @@ def _sample_direct(gmm, lam, tau, rng, count):
         raise SubroutineFailure(worst, tau)
     factor = _psd_factor(gmm.covariance)
     if np.any(factor):
-        noise_map = math.sqrt(tau) * factor.T
-        # the normals are drawn one row tile at a time, in the order of one
-        # draw of them all, so only a tile of them is held
+        # a zero column for the count coordinate lets each tile add into
+        # whole rows (R + 0.0 is R).  The normals are drawn one row tile at a
+        # time, in the order of one draw of them all, into one buffer.
+        noise_map = math.sqrt(tau) * np.pad(factor.T, ((0, 0), (0, 1)))
+        normals = np.empty((min(count, _NOISE_ROWS), n))
+        mapped = np.empty((len(normals), n + 1))
         for start in range(0, count, _NOISE_ROWS):
-            rows = out[start : start + _NOISE_ROWS, :n]
-            rows += rng.standard_normal(rows.shape) @ noise_map
+            rows = out[start : start + _NOISE_ROWS]
+            tile = rng.standard_normal((len(rows), n), out=normals[: len(rows)])
+            rows += np.matmul(tile, noise_map, out=mapped[: len(rows)])
     return out
 
 

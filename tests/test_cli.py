@@ -116,6 +116,20 @@ class TestLearnCommand:
         summary = read_summary(aborted)
         assert summary["largest_counts"] == summary["zero_count_shares"] == [None]
 
+    def test_summary_reports_the_stage_seconds_of_each_trial(self, tmp_path):
+        """``stage_seconds`` holds each trial's four stage times, within its
+        ``trial_seconds``, and stays out of records.csv."""
+        cfg = write_config(tmp_path, TOY_LEARN)
+        out = tmp_path / "out"
+        assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert len(summary["stage_seconds"]) == len(summary["trial_seconds"]) == 2
+        for stages, seconds in zip(summary["stage_seconds"], summary["trial_seconds"]):
+            assert set(stages) == {"sample", "accumulate", "assemble", "recover"}
+            assert all(value > 0 for value in stages.values())
+            assert sum(stages.values()) <= seconds
+        assert not {"stage_seconds", "sample", "accumulate"} & set(read_rows(out)[0])
+
     @pytest.mark.parametrize("error", ["IllConditionedError", "DegenerateModelError",
                                        "FeasibilityError"])
     def test_counts_kept_when_recovery_fails(self, tmp_path, monkeypatch, error):

@@ -207,17 +207,17 @@ TILED_CASES = [
 _BLAS = cli._openblas_thread_controls()
 BIT_PINS = [
     (3, 5, (0, 7_000, 40_000, 60_000),
-     "2874b05523bc8ba89dc9ec6ff3d154a042cdf996f8c8902d88c65aa5ec9c91f0",
-     "58446e0d6c987a5d46c0d57911ed67e4c676e806a54b55e33214a52a5770321b"),
+     "e201f0341513772bfaf74755af5714f390304f6dbde212492299359a7827fba9",
+     "30fe88082bc43c8c4dc917863ff2eef5a39c29c3970cbb209babf5e4fc7e703a"),
     (1, 8, (0, 7_000, 120_000, 230_000),
-     "6028e74359d4c5e627476c91453c27672c7d78e69286360859370c0e45cb2953",
-     "165d173d2077e919b7266b7bd7b5daca61ebf8b47e5a826672e2fb4f9bb211dc"),
+     "811097eb68c3f5314861915304594424e4373ff769f9a0e46270965e90dd84db",
+     "a42f641da6158dc048ed28be5ac98f4adbc6b22c4fc27f92f61953064c951b8d"),
     (4, 7, (0, 7_000, 19_000, 30_000),
-     "6b9860764b24b20256014896dde498c122efc7e678226a82f1b52d56519f1bb0",
-     "003e10cef44697c6d26215e329f5cde6c644e0ba220b9b3617218ff0d3c3754f"),
+     "1faa2f74fe1b5c26a8ba386e9133e3580e36b65d380812999f449c9a30786d71",
+     "ff066da05de143fde805b76b22d165ccf0e829126fbb0c6165ad0827047e1aa9"),
     (7, 5, (0, 7_000, 14_000, 20_000),
-     "98f34fb546e34a425e69b64bbb17a521a0996112cbad04bffaa11043c78068ea",
-     "450e39ed762357a6376583bb9cb964f295dcad9dddb5eb80a1bdd9c7e6df46f4"),
+     "2341701a15ac17f0500067fa7a9cb4a6908edbe2c63c127b0e9f3db9f8d11096",
+     "ea58be7b4fcbe364a76ccb3de57edf84643b32657c1d4fdf89fd34ebdca369c4"),
 ]
 
 # the same digests in count mode, for rows whose last coordinate is a
@@ -226,11 +226,24 @@ BIT_PINS = [
 # more rows than that
 COUNT_BIT_PINS = [
     (7, 5, (0, 7_000, 40_000, 60_000),
-     "2a0c5437f3de30c6d1391bcb88da2ce9fa5818695cda37282cf05f689d5535c1",
-     "9d985c707685da35b2a7d6664c2c6d6f509676cfbc91c9fba5a36d9ec72019b1"),
+     "1a91d51f71bd6d3fd36e61913056832c1f942047344def711aac6cdc1a3dcd2b",
+     "83217ff3b31fad3160ce4c7211a576a16ba73276d13c03b86e78824b2f5c4ea0"),
     (5, 7, (0, 7_000, 40_000, 60_000),
-     "3c0d6f7ce2fa16309fc8dcbf5c46b8f5c2398f88d782921c05d93bce4b113c63",
-     "18faeef4a6c078b5fe9adc27614664f1610b849748f708437ceb3787106d65e7"),
+     "08c730d34623dc57bb3ad533d5057cfdba2a4e2dea2e64334919bfd2b0306271",
+     "09c92ebb064ea3f466072b1dab5f662c94471375626cc18074b87f26664cda50"),
+]
+
+
+# small-integer rows, (dim, order, count_last, bounds): entries in -3..3,
+# counts in 0..4 and a shift in -1..1, so every product, partial sum and
+# count scale is an integer below 2**53, exact in float64 in any order.  The
+# tiles (6241 and 7489 rows per count value in count mode, 52428 and 104857
+# rows without) end inside the second chunk.
+EXACT_CASES = [
+    (7, 5, True, (0, 5_000, 50_000, 55_000)),
+    (5, 7, True, (0, 5_000, 50_000, 55_000)),
+    (3, 4, False, (0, 7_000, 60_000, 70_000)),
+    (1, 8, False, (0, 7_000, 130_000, 150_000)),
 ]
 
 
@@ -367,6 +380,22 @@ class TestMomentAccumulator:
         assert hashlib.sha256(acc.sums.tobytes()).hexdigest() == sums_digest
         assert assembled.hexdigest() == assembled_digest
 
+    @pytest.mark.parametrize("dim, order, count_last, bounds", EXACT_CASES)
+    def test_integer_rows_sum_exactly(self, dim, order, count_last, bounds):
+        """On small-integer rows every sum equals an integer brute force bit
+        for bit, whatever the BLAS build, its kernel or its thread count."""
+        rng = np.random.default_rng(dim * 10 + order)
+        data = rng.integers(-3, 4, size=(bounds[-1], dim))
+        if count_last:
+            data[:, -1] = rng.integers(0, 5, size=bounds[-1])
+        shift = rng.integers(-1, 2, size=dim)
+        acc = MomentAccumulator(dim, order, shift=shift, count_last=count_last)
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            acc.update(data[start:stop].astype(float))
+        z = data - shift
+        want = [int(np.prod(z[:, list(key)], axis=1).sum()) for key in acc.keys]
+        assert acc.sums.tolist() == [float(total) for total in want]
+
     @pytest.mark.parametrize("indices", [(3,), (-1,), (0.5,), ()])
     def test_bad_index_rejected(self, indices):
         """A coordinate out of range or not an integer, or none at all, is
@@ -449,6 +478,27 @@ class TestCountMode:
             assembled.update(assemble_flat_cumulant(acc, ell).data.tobytes())
         assert hashlib.sha256(acc.sums.tobytes()).hexdigest() == sums_digest
         assert assembled.hexdigest() == assembled_digest
+
+    @pytest.mark.parametrize("dim, order", [(7, 5), (5, 7)])
+    def test_tile_products_release_the_gil(self, dim, order, monkeypatch):
+        """At the benchmark's count-mode shapes, (n + 1, d + 1) = (7, 5) and
+        (5, 7), every per-tile product has at least 500 output entries.
+        numpy 2.4 holds the GIL through a matmul with at most about 500
+        (ROADMAP dead end "small products hold the GIL"), so a smaller one
+        stalls the other trials that ``learn`` runs side by side."""
+        matmul, shapes = np.matmul, []
+
+        def recorded(*args, **kwargs):
+            product = matmul(*args, **kwargs)
+            shapes.append(product.shape)
+            return product
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        data = poisson_rows(SeededRng(1), 20_000, dim, count_last=True)
+        acc = MomentAccumulator(dim, order, shift=data.mean(axis=0), count_last=True)
+        acc.update(data)
+        assert shapes
+        assert min(math.prod(shape) for shape in shapes) >= 500
 
     def test_memory_does_not_grow_with_count_values(self):
         """At 17 coordinates, order 5 and Poisson(100) counts (about 75

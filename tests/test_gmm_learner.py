@@ -1,5 +1,7 @@
 """End-to-end mixture learning, weight recovery, and evaluation metrics."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,22 @@ class TestLearnMeans:
         gmm = GmmParams(np.zeros((2, 2)), np.array([0.5, 0.5]), 0.01 * np.eye(2))
         with pytest.raises(FeasibilityError, match="is 0"):
             learn_means(gmm, 2, 4, 0.1, None, 1_000, tau=15)
+
+    def test_stage_seconds_cover_the_run(self):
+        """The four stage times are positive and sum to at most the wall
+        time of the call; an aborted run keeps those of the chunks it
+        finished, and assembly and recovery stay at 0."""
+        started = time.perf_counter()
+        rep = learn_means(toy_gmm(), 2, 4, 0.1, SeededRng(1), 30_000, tau=15, chunk=10_000)
+        elapsed = time.perf_counter() - started
+        stages = rep.diagnostics["stage_seconds"]
+        assert list(stages) == ["sample", "accumulate", "assemble", "recover"]
+        assert all(seconds > 0 for seconds in stages.values())
+        assert sum(stages.values()) <= elapsed
+        with pytest.raises(SubroutineFailure) as info:
+            learn_means(toy_gmm(), 2, 4, 0.1, SeededRng(37), 5_000, tau=6)
+        stages = info.value.diagnostics["stage_seconds"]
+        assert stages["assemble"] == stages["recover"] == 0.0
 
     def test_conditioning_recorded(self):
         rep = learn_means(toy_gmm(), 2, 4, 0.1, SeededRng(1), 1_000, tau=15)

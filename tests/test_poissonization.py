@@ -5,6 +5,7 @@ wide; the structural checks (last coordinate, zero noise row, abort
 semantics) are exact.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonize import cli
 from poissonize.distributions import (
     GmmParams,
     SeededRng,
@@ -303,6 +305,11 @@ def projected_cumulants(rows, direction, batches=40):
     return cumulants(y), per_batch.std(axis=0, ddof=1) / math.sqrt(batches)
 
 
+# sha256 of the direct sampler's output in test_direct_rows_keep_their_bits,
+# for one OpenBLAS CPU kernel (Haswell, OpenBLAS 0.3.31)
+DIRECT_ROWS_DIGEST = "000ff877f3357a77ff42e578dcbda443e18680d227d91e1ebbc987c71675df9f"
+
+
 class TestSamplersAgree:
     """The direct form for a known mixture and the black-box reduction for
     the same mixture draw rows of one law."""
@@ -362,6 +369,23 @@ class TestSamplersAgree:
             with pytest.raises(SubroutineFailure) as info:
                 sample_approx_ica_batch(source, 3.0, 9, SeededRng(12), 10_000)
             assert info.value.count > 9
+
+    @pytest.mark.skipif(not cli._openblas_thread_controls(),
+                        reason="no OpenBLAS thread controls found")
+    def test_direct_rows_keep_their_bits(self):
+        """The direct sampler's rows at 6 components in R^6 with a full
+        covariance, over three noise tiles (the last one partial), have the
+        pinned sha256 on one OpenBLAS thread.  Any change to the draws or to
+        the float operations that map them moves it; another BLAS kernel may
+        move last bits and needs it recomputed at an unchanged sampler."""
+        rng = SeededRng(23)
+        means = rng.standard_normal((6, 6))
+        a = rng.standard_normal((6, 6))
+        gmm = GmmParams(means, np.full(6, 1 / 6), 0.01 * (a @ a.T + np.eye(6)))
+        with cli._one_blas_thread(cli._openblas_thread_controls()):
+            out = sample_approx_ica_batch(gmm, 6.0, 40, SeededRng(24), 40_000)
+        assert out.shape == (40_000, 7)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == DIRECT_ROWS_DIGEST
 
     def test_direct_count_coordinate_is_the_sum_of_its_counts(self):
         """With Sigma = 0 and integer means of full rank, each direct row
